@@ -29,9 +29,10 @@ fn via_materialized_transpose(a: &Tensor, b: &Tensor) -> Tensor {
     matmul(a, &b.transpose())
 }
 
-/// Reference copy of the production forward microkernel's inner loop
-/// (`gemm_rows_offset`): i-k-j saxpy, KB-tiled, **with** the
-/// `aik == 0.0 → skip` branch. Single-threaded so the branch cost is not
+/// The forward microkernel's per-element schedule as a plain loop: i-k-j
+/// saxpy, KB-tiled, **with** the `aik == 0.0 → skip` branch (the production
+/// `gemm_rows_offset` register-blocks this loop without changing any
+/// element's operation order). Single-threaded so the branch cost is not
 /// masked by thread scheduling.
 fn saxpy_skip_zero(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = a.shape();

@@ -4,7 +4,9 @@
 //! the CPU analogues used by every other crate in the workspace:
 //!
 //! * [`Tensor`] — a row-major 2-D `f32` matrix with shape checking.
-//! * [`matmul`] / [`matmul_into`] — blocked, multi-threaded GEMM.
+//! * [`matmul`] / [`matmul_into`] / [`matmul_transpose_b`] /
+//!   [`matmul_transpose_a`] — register-blocked, multi-threaded GEMM with
+//!   runtime-selected SIMD microkernels.
 //! * Row-wise ops used by MoE gating: [`softmax_rows`], [`topk_rows`].
 //! * Routing kernels mirroring the paper's Triton gather/scatter (§4.1.2):
 //!   [`gather_rows`], [`scatter_rows_scaled`].
@@ -24,7 +26,9 @@
 //! by construction and bitwise identical to their serial schedules. The
 //! `unsafe` in the crate is confined to the `GlobalAlloc` impl in [`alloc`]
 //! (which delegates every operation to `std::alloc::System` and adds relaxed
-//! atomic counters) and the task/pointer plumbing in [`par`].
+//! atomic counters), the task/pointer plumbing in [`par`], and the calls in
+//! [`ops`] into the AVX2 instances of the GEMM microkernels, each made only
+//! after `is_x86_feature_detected!("avx2")`.
 
 pub mod alloc;
 pub mod ops;
@@ -38,8 +42,9 @@ pub use alloc::{
 };
 pub use ops::{
     add_assign, add_assign_slice, axpy_slice, dot_and_scale, gelu, matmul, matmul_into,
-    matmul_slices, matmul_transpose_b, matmul_transpose_b_into, matmul_transpose_b_slices, relu,
-    scale_assign, scaled_extend, silu, softmax_rows, topk_rows, topk_rows_into,
+    matmul_slices, matmul_transpose_a, matmul_transpose_b, matmul_transpose_b_into,
+    matmul_transpose_b_slices, relu, scale_assign, scaled_extend, silu, softmax_rows, topk_rows,
+    topk_rows_into,
 };
 pub use par::{
     gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_b, pool_size, run_tasks, Task,

@@ -1,15 +1,17 @@
-//! Dense tensor operations: blocked multi-threaded GEMM, activations and the
-//! row-wise reductions used by MoE gating.
+//! Dense tensor operations: register-blocked multi-threaded GEMM,
+//! activations and the row-wise reductions used by MoE gating.
 
+use crate::par::GemmKind;
 use crate::Tensor;
 
 /// `C = A @ B` where `A` is `[m, k]` and `B` is `[k, n]`.
 ///
 /// Rows of `C` are partitioned across the persistent worker pool
-/// ([`crate::par`]); each lane runs a register-blocked microkernel over `B`
-/// panels. For the problem sizes in this workspace (token buffers of a few
-/// thousand rows by a few hundred columns) this stays within a factor of a
-/// few of BLAS without any per-call thread spawns.
+/// ([`crate::par`]); each lane runs the register-blocked NN microkernel
+/// (4 x 16 accumulator tiles, see [`gemm_rows_offset`]) selected at runtime
+/// for the widest SIMD the CPU supports. Every instance performs the same
+/// per-element operation sequence, so the result does not depend on the ISA
+/// or the lane count.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut c = Tensor::zeros(a.rows(), b.cols());
     matmul_into(a, b, &mut c);
@@ -49,61 +51,22 @@ pub fn matmul_slices(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut
     }
 
     if !crate::par::pool().is_parallel() || m * n * k < crate::par::PAR_CUTOFF {
-        gemm_rows(a, b, c, 0, m, k, n);
+        gemm_rows_offset(a, b, c, 0, m, k, n);
         return;
     }
-    crate::par::par_gemm_rows(a, m, k, b, n, c, false);
-}
-
-/// Microkernel: accumulate `rows_here` rows of C starting at global row `r0`,
-/// where `c_chunk` is the slice for exactly those rows.
-pub(crate) fn gemm_rows_offset(
-    a: &[f32],
-    b: &[f32],
-    c_chunk: &mut [f32],
-    r0: usize,
-    rows_here: usize,
-    k: usize,
-    n: usize,
-) {
-    // i-k-j loop order: streams B rows sequentially, C row stays hot.
-    const KB: usize = 256;
-    for kb0 in (0..k).step_by(KB) {
-        let k_end = (kb0 + KB).min(k);
-        for i in 0..rows_here {
-            let a_row = &a[(r0 + i) * k..(r0 + i + 1) * k];
-            let c_row = &mut c_chunk[i * n..(i + 1) * n];
-            for kk in kb0..k_end {
-                let aik = a_row[kk];
-                // Measured in `bench gemm`: dense-neutral (the always-false
-                // branch predicts perfectly; ~1.0x geomean) and ~2x on the
-                // zero-padded rows of the block-sparse/dense pipelines.
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * n..(kk + 1) * n];
-                // The compiler auto-vectorizes this saxpy.
-                for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                    *cv += aik * bv;
-                }
-            }
-        }
-    }
-}
-
-fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, rows: usize, k: usize, n: usize) {
-    gemm_rows_offset(a, b, &mut c[r0 * n..(r0 + rows) * n], r0, rows, k, n);
+    crate::par::par_gemm_rows(a, m, k, b, n, c, GemmKind::Nn);
 }
 
 /// `C = A @ B^T` where `A` is `[m, k]` and `B` is `[n, k]`.
 ///
 /// Used by backward passes (`dX = dY @ W^T`). Because both operands are
 /// row-major, `C[i][j]` is a dot product of two *contiguous* rows — no
-/// transpose is ever needed. The kernel partitions C's rows across scoped
-/// threads (like [`matmul_into`]) and tiles the B rows so a panel of them
-/// stays in cache while one A row streams through; this replaced an
-/// implementation that materialised a fresh `B^T` allocation on every
-/// backward GEMM of every step (see the `bench gemm` table in DESIGN.md).
+/// transpose is ever needed. Rows of C are partitioned across the worker
+/// pool (like [`matmul_into`]); each lane computes 2 x 4 tiles of dot
+/// products so every loaded A and B chunk feeds several outputs. This
+/// replaced an implementation that materialised a fresh `B^T` allocation on
+/// every backward GEMM of every step (see the `bench gemm` table in
+/// DESIGN.md).
 pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Tensor {
     let mut c = Tensor::zeros(a.rows(), b.rows());
     matmul_transpose_b_into(a, b, &mut c);
@@ -160,78 +123,349 @@ pub fn matmul_transpose_b_slices(
         gemm_tb_rows(a, b, c, 0, m, k, n);
         return;
     }
-    crate::par::par_gemm_rows(a, m, k, b, n, c, true);
+    crate::par::par_gemm_rows(a, m, k, b, n, c, GemmKind::Nt);
 }
 
-/// Microkernel for `C = A @ B^T`: `c_chunk` holds rows `r0..r0+rows_here` of
-/// C. Each dot product is split into `LANES` independent partial sums — a
-/// single accumulator is a strict-FP dependency chain the compiler may not
-/// vectorize, whereas fixed lanes map straight onto SIMD mul-adds. The lane
-/// layout is position-determined, so results are bit-deterministic for a
-/// given `k` (though not the naive left-to-right summation order).
-pub(crate) fn gemm_tb_rows(
+/// `C = A^T @ D` where `A` is `[r, m]` and `D` is `[r, n]`, without
+/// materialising `A^T`.
+///
+/// This is the weight-gradient shape of every dense layer (`dW = X^T @ dY`).
+/// The result is bitwise identical to `matmul(&a.transpose(), d)`: each
+/// output element accumulates over the `r` rows in ascending order with the
+/// same zero-skip as [`matmul`]. Rows of C are partitioned across the worker
+/// pool like [`matmul_into`].
+pub fn matmul_transpose_a(a: &Tensor, d: &Tensor) -> Tensor {
+    let (r, m) = a.shape();
+    let (rd, n) = d.shape();
+    assert_eq!(r, rd, "matmul_transpose_a row-count mismatch");
+    let mut c = Tensor::zeros(m, n);
+    if m == 0 || n == 0 {
+        return c;
+    }
+    let (a, d, cs) = (a.as_slice(), d.as_slice(), c.as_mut_slice());
+    if !crate::par::pool().is_parallel() || m * n * r < crate::par::PAR_CUTOFF {
+        gemm_ta_rows(a, d, cs, 0, m, r, m, n);
+    } else {
+        crate::par::par_gemm_rows(a, m, r, d, n, cs, GemmKind::Ta);
+    }
+    c
+}
+
+// ---------------------------------------------------------------------------
+// GEMM microkernels
+// ---------------------------------------------------------------------------
+//
+// Each microkernel is one `#[inline(always)]` portable body instantiated
+// twice by `runtime_dispatched!`: as compiled for the crate's baseline
+// target, and (on x86-64) under `#[target_feature(enable = "avx2")]`. The
+// dispatcher picks the AVX2 instance per call when the CPU has it. Both
+// instances run the same scalar operation sequence per output element — a
+// separate multiply then add (Rust never contracts them into an FMA), in the
+// same k-order, with the same zero-skip — so they agree bitwise and only the
+// register width the compiler vectorizes onto differs.
+
+/// Rows of the NN/TA accumulator tile.
+const SAXPY_ROWS: usize = 4;
+/// k-block of the NN/TA kernels: a `SAXPY_KB x 16` panel of B stays in L1
+/// while every row tile of the block streams past it.
+const SAXPY_KB: usize = 256;
+/// Partial-sum lanes of one NT dot product. Position-determined (element
+/// `kk` of the 8-aligned prefix always lands in lane `kk % LANES`), so the
+/// sum is bit-deterministic for a given `k`.
+const LANES: usize = 8;
+
+/// Defines `$name` to run the AVX2 instance of `$body` when the CPU supports
+/// it and the portable instance otherwise, and `$avx2` as that AVX2 instance.
+macro_rules! runtime_dispatched {
+    ($(#[$doc:meta])* fn $name:ident / $avx2:ident => $body:ident($($arg:ident: $ty:ty),* $(,)?)) => {
+        $(#[$doc])*
+        #[allow(clippy::too_many_arguments)]
+        pub(crate) fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: `is_x86_feature_detected!("avx2")` just confirmed
+                // that the running CPU supports every instruction the AVX2
+                // instance may use.
+                return unsafe { $avx2($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+
+        /// The AVX2 instance of the same body; callers must have confirmed
+        /// AVX2 support with `is_x86_feature_detected!`.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        #[allow(clippy::too_many_arguments)]
+        fn $avx2($($arg: $ty),*) {
+            $body($($arg),*)
+        }
+    };
+}
+
+runtime_dispatched! {
+    /// NN microkernel: `C += A @ B` for the `rows_here` rows of C starting at
+    /// global row `r0`, where `c_chunk` is the slice for exactly those rows.
+    ///
+    /// Register-blocked as 4 x 16 accumulator tiles with 8- and 1-wide column
+    /// tails and 1-row row tails. Every C element still sees ascending k with
+    /// `c += a * b` per step, and rows whose `A[i][k]` is zero skip step `k`
+    /// — the i-k-j saxpy's exact per-element sequence.
+    fn gemm_rows_offset / gemm_rows_offset_avx2 => nn_body(
+        a: &[f32],
+        b: &[f32],
+        c_chunk: &mut [f32],
+        r0: usize,
+        rows_here: usize,
+        k: usize,
+        n: usize,
+    )
+}
+
+runtime_dispatched! {
+    /// NT microkernel: `C = A @ B^T` (overwrite) for the `rows_here` rows of C
+    /// starting at global row `r0`; `b` is `[n, k]`.
+    ///
+    /// Each dot product is split into `LANES` position-determined partial
+    /// sums — a single accumulator is a strict-FP dependency chain that cannot
+    /// vectorize — and is finished as: the `k % LANES` tail elements in
+    /// order, then the lanes in order. Outputs are computed in 2 x 4 tiles
+    /// (8 dot products, 8 lanes each) so every loaded chunk of A and B feeds
+    /// several outputs.
+    fn gemm_tb_rows / gemm_tb_rows_avx2 => nt_body(
+        a: &[f32],
+        b: &[f32],
+        c_chunk: &mut [f32],
+        r0: usize,
+        rows_here: usize,
+        k: usize,
+        n: usize,
+    )
+}
+
+runtime_dispatched! {
+    /// TA microkernel: `C += A^T @ D` for the `rows_here` rows of C starting
+    /// at row `i0`, where `a` is `[cnt, ac]`, `d` is `[cnt, n]` and `c_chunk`
+    /// holds exactly those rows of the `[ac, n]` output. This is the
+    /// weight-gradient shape (`dW = X^T @ dY`), computed without a transpose
+    /// copy.
+    ///
+    /// It is the NN kernel reading A down columns instead of along rows:
+    /// ascending reduction over the `cnt` rows per element with the same
+    /// zero-skip, so results are bitwise identical to
+    /// `matmul(&a.transpose(), d)`.
+    fn gemm_ta_rows / gemm_ta_rows_avx2 => ta_body(
+        a: &[f32],
+        d: &[f32],
+        c_chunk: &mut [f32],
+        i0: usize,
+        rows_here: usize,
+        cnt: usize,
+        ac: usize,
+        n: usize,
+    )
+}
+
+#[inline(always)]
+fn nn_body(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, rows: usize, k: usize, n: usize) {
+    let s = Saxpy {
+        a: &a[r0 * k..(r0 + rows) * k],
+        row_stride: k,
+        k_stride: 1,
+        b,
+        n,
+    };
+    s.run(c, rows, k);
+}
+
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn ta_body(
     a: &[f32],
-    b: &[f32],
-    c_chunk: &mut [f32],
-    r0: usize,
-    rows_here: usize,
-    k: usize,
+    d: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    rows: usize,
+    cnt: usize,
+    ac: usize,
     n: usize,
 ) {
-    const LANES: usize = 8;
-    for i in 0..rows_here {
-        let a_row = &a[(r0 + i) * k..(r0 + i + 1) * k];
-        let c_row = &mut c_chunk[i * n..(i + 1) * n];
-        for (j, cv) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let a_chunks = a_row.chunks_exact(LANES);
-            let b_chunks = b_row.chunks_exact(LANES);
-            let mut acc = 0.0f32;
-            for (av, bv) in a_chunks.remainder().iter().zip(b_chunks.remainder()) {
-                acc += av * bv;
+    assert_eq!(a.len(), cnt * ac, "gemm_ta_rows: A length mismatch");
+    assert!(i0 + rows <= ac, "gemm_ta_rows: rows out of range");
+    if cnt == 0 {
+        return;
+    }
+    let s = Saxpy {
+        a: &a[i0..],
+        row_stride: 1,
+        k_stride: ac,
+        b: d,
+        n,
+    };
+    s.run(c, rows, cnt);
+}
+
+/// The saxpy form shared by NN and TA: `C[i][j] += A(i, kk) * B[kk][j]` over
+/// ascending `kk`, where `A(i, kk) = a[i * row_stride + kk * k_stride]` and
+/// `b` is `[k, n]`. NN reads A along rows (`k_stride == 1`); TA reads it
+/// down columns (`row_stride == 1`).
+struct Saxpy<'a> {
+    a: &'a [f32],
+    row_stride: usize,
+    k_stride: usize,
+    b: &'a [f32],
+    n: usize,
+}
+
+impl Saxpy<'_> {
+    /// All of C (`rows x n`, accumulated into): k-blocks outermost so each
+    /// element's k-order stays ascending, then 16-, 8- and 1-wide column
+    /// panels, then row tiles.
+    #[inline(always)]
+    fn run(&self, c: &mut [f32], rows: usize, k: usize) {
+        assert_eq!(c.len(), rows * self.n, "saxpy kernel: C length mismatch");
+        for k0 in (0..k).step_by(SAXPY_KB) {
+            let k1 = (k0 + SAXPY_KB).min(k);
+            let mut j = 0;
+            while j + 16 <= self.n {
+                self.panel::<16>(c, rows, j, k0, k1);
+                j += 16;
             }
-            let mut lanes = [0.0f32; LANES];
-            for (ac, bc) in a_chunks.zip(b_chunks) {
-                for l in 0..LANES {
-                    lanes[l] += ac[l] * bc[l];
+            if j + 8 <= self.n {
+                self.panel::<8>(c, rows, j, k0, k1);
+                j += 8;
+            }
+            while j < self.n {
+                self.panel::<1>(c, rows, j, k0, k1);
+                j += 1;
+            }
+        }
+    }
+
+    /// Columns `j0..j0 + NR` of every row, over k-block `k0..k1`.
+    #[inline(always)]
+    fn panel<const NR: usize>(&self, c: &mut [f32], rows: usize, j0: usize, k0: usize, k1: usize) {
+        let mut i = 0;
+        while i + SAXPY_ROWS <= rows {
+            self.tile::<SAXPY_ROWS, NR>(c, i, j0, k0, k1);
+            i += SAXPY_ROWS;
+        }
+        while i < rows {
+            self.tile::<1, NR>(c, i, j0, k0, k1);
+            i += 1;
+        }
+    }
+
+    /// One `MR x NR` tile of C held in registers across the k-block.
+    #[inline(always)]
+    fn tile<const MR: usize, const NR: usize>(
+        &self,
+        c: &mut [f32],
+        i0: usize,
+        j0: usize,
+        k0: usize,
+        k1: usize,
+    ) {
+        let n = self.n;
+        let mut acc = [[0.0f32; NR]; MR];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            acc_r.copy_from_slice(&c[(i0 + r) * n + j0..][..NR]);
+        }
+        for kk in k0..k1 {
+            let b_row: [f32; NR] = self.b[kk * n + j0..][..NR]
+                .try_into()
+                .expect("panel is NR wide");
+            let av: [f32; MR] =
+                std::array::from_fn(|r| self.a[(i0 + r) * self.row_stride + kk * self.k_stride]);
+            for r in 0..MR {
+                // The i-k-j schedule's skip, kept per row: it saves the
+                // zero-padded rows of the block-sparse/dense pipelines, and
+                // it keeps `0 * inf` out of C, which the bitwise tests pin.
+                if av[r] == 0.0 {
+                    continue;
+                }
+                for l in 0..NR {
+                    acc[r][l] += av[r] * b_row[l];
                 }
             }
-            for &lane in &lanes {
-                acc += lane;
-            }
-            *cv = acc;
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            c[(i0 + r) * n + j0..][..NR].copy_from_slice(acc_r);
         }
     }
 }
 
-/// Microkernel for `C += A^T @ D` without materialising the transpose: `a`
-/// is `[cnt, ac]`, `d` is `[cnt, n]`, `c` is `[ac, n]`, accumulated into.
-/// This is the per-expert weight-gradient shape (`dW = X^T @ dY`), which the
-/// training backward used to compute as `matmul(&seg.transpose(), &dy)` —
-/// paying a full transpose copy per expert per step.
-///
-/// Loop order mirrors [`gemm_rows_offset`] applied to the materialised
-/// transpose exactly — `RB`-blocked ascending reduction over segment rows
-/// (the transposed call's k dimension), `i` over output rows inside each
-/// block, same zero-skip — so results are bitwise identical to the old
-/// transpose-then-matmul schedule.
-pub(crate) fn gemm_ta_rows(a: &[f32], d: &[f32], c: &mut [f32], cnt: usize, ac: usize, n: usize) {
-    const RB: usize = 256;
-    for rb0 in (0..cnt).step_by(RB) {
-        let r_end = (rb0 + RB).min(cnt);
-        for i in 0..ac {
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for r in rb0..r_end {
-                // A^T[i][r] without the copy.
-                let av = a[r * ac + i];
-                if av == 0.0 {
-                    continue;
-                }
-                let d_row = &d[r * n..(r + 1) * n];
-                for (cv, dv) in c_row.iter_mut().zip(d_row) {
-                    *cv += av * dv;
+#[inline(always)]
+fn nt_body(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, rows: usize, k: usize, n: usize) {
+    assert_eq!(c.len(), rows * n, "gemm_tb_rows: C length mismatch");
+    let a = &a[r0 * k..(r0 + rows) * k];
+    let b = &b[..n * k];
+    let mut i = 0;
+    while i + 2 <= rows {
+        nt_rows::<2>(a, b, c, i, k, n);
+        i += 2;
+    }
+    if i < rows {
+        nt_rows::<1>(a, b, c, i, k, n);
+    }
+}
+
+/// Rows `i0..i0 + MR` of C: 4-wide column tiles, then 1-wide.
+#[inline(always)]
+fn nt_rows<const MR: usize>(a: &[f32], b: &[f32], c: &mut [f32], i0: usize, k: usize, n: usize) {
+    let mut j = 0;
+    while j + 4 <= n {
+        nt_tile::<MR, 4>(a, b, c, i0, j, k, n);
+        j += 4;
+    }
+    while j < n {
+        nt_tile::<MR, 1>(a, b, c, i0, j, k, n);
+        j += 1;
+    }
+}
+
+/// `MR x NR` dot products `C[i0 + r][j0 + q] = <A row i0 + r, B row j0 + q>`.
+#[inline(always)]
+fn nt_tile<const MR: usize, const NR: usize>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    j0: usize,
+    k: usize,
+    n: usize,
+) {
+    let a_rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
+    let b_rows: [&[f32]; NR] = std::array::from_fn(|q| &b[(j0 + q) * k..][..k]);
+    let main = k - k % LANES;
+    let mut acc = [[0.0f32; NR]; MR];
+    for kk in main..k {
+        for (acc_r, a_row) in acc.iter_mut().zip(&a_rows) {
+            for (cv, b_row) in acc_r.iter_mut().zip(&b_rows) {
+                *cv += a_row[kk] * b_row[kk];
+            }
+        }
+    }
+    let mut lanes = [[[0.0f32; LANES]; NR]; MR];
+    for chunk in 0..main / LANES {
+        let k0 = chunk * LANES;
+        let av: [[f32; LANES]; MR] =
+            std::array::from_fn(|r| a_rows[r][k0..k0 + LANES].try_into().expect("LANES wide"));
+        let bv: [[f32; LANES]; NR] =
+            std::array::from_fn(|q| b_rows[q][k0..k0 + LANES].try_into().expect("LANES wide"));
+        for r in 0..MR {
+            for q in 0..NR {
+                for l in 0..LANES {
+                    lanes[r][q][l] += av[r][l] * bv[q][l];
                 }
             }
+        }
+    }
+    for (r, (acc_r, lanes_r)) in acc.iter_mut().zip(&lanes).enumerate() {
+        for (q, (cv, lane)) in acc_r.iter_mut().zip(lanes_r).enumerate() {
+            for &l in lane {
+                *cv += l;
+            }
+            c[(i0 + r) * n + j0 + q] = *cv;
         }
     }
 }
@@ -615,6 +849,51 @@ mod tests {
             &mut out.as_mut_slice()[2 * 8..7 * 8],
         );
         assert!(out.slice_rows(2, 7).max_abs_diff(&expected) == 0.0);
+    }
+
+    /// The AVX2 instances and the portable bodies (called directly, so this
+    /// binary's baseline ISA compiles them) agree bit for bit, including on
+    /// the zero-skip and the NT tail order, across tile and tail shapes.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_instances_match_portable_bodies_bitwise() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (m, k, n) in [
+            (1usize, 1usize, 1usize),
+            (7, 9, 17),
+            (5, 129, 88),
+            (9, 300, 40),
+        ] {
+            let mut a = Tensor::rand_uniform(m, k, 1.0, 40).as_slice().to_vec();
+            for (i, v) in a.iter_mut().enumerate() {
+                if i.is_multiple_of(6) {
+                    *v = if i.is_multiple_of(12) { 0.0 } else { -0.0 };
+                }
+            }
+            let b = Tensor::rand_uniform(k, n, 1.0, 41);
+            let bt = Tensor::rand_uniform(n, k, 1.0, 42);
+            let at = Tensor::rand_uniform(k, m, 1.0, 43);
+            let c0 = Tensor::rand_uniform(m, n, 1.0, 44);
+
+            let (mut port, mut wide) = (c0.as_slice().to_vec(), c0.as_slice().to_vec());
+            nn_body(&a, b.as_slice(), &mut port, 0, m, k, n);
+            // SAFETY: `is_x86_feature_detected!("avx2")` confirmed AVX2 above.
+            unsafe { gemm_rows_offset_avx2(&a, b.as_slice(), &mut wide, 0, m, k, n) };
+            assert_eq!(bits(&port), bits(&wide), "NN m={m} k={k} n={n}");
+
+            nt_body(&a, bt.as_slice(), &mut port, 0, m, k, n);
+            // SAFETY: `is_x86_feature_detected!("avx2")` confirmed AVX2 above.
+            unsafe { gemm_tb_rows_avx2(&a, bt.as_slice(), &mut wide, 0, m, k, n) };
+            assert_eq!(bits(&port), bits(&wide), "NT m={m} k={k} n={n}");
+
+            ta_body(at.as_slice(), b.as_slice(), &mut port, 0, m, k, m, n);
+            // SAFETY: `is_x86_feature_detected!("avx2")` confirmed AVX2 above.
+            unsafe { gemm_ta_rows_avx2(at.as_slice(), b.as_slice(), &mut wide, 0, m, k, m, n) };
+            assert_eq!(bits(&port), bits(&wide), "TA m={m} k={k} n={n}");
+        }
     }
 
     #[test]

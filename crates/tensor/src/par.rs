@@ -24,12 +24,14 @@
 //! # Determinism
 //!
 //! Tasks own disjoint output slices (enforced through [`DisjointMut`]) and
-//! every output row is computed by exactly one task with the same fixed
-//! intra-row accumulation order as the serial kernels (`gemm_rows_offset`'s
-//! ascending blocked k-loop; `gemm_tb_rows`' position-determined lanes).
-//! Which thread runs a task, and in which order tasks retire, affects neither
-//! the values nor their rounding — results are bitwise identical to the
-//! serial schedule for any worker count, including 1.
+//! every output row is computed by exactly one task with the serial
+//! microkernels, whose per-element operation sequence does not depend on
+//! where a row lands in a task's register tiles (`gemm_rows_offset` and
+//! `gemm_ta_rows`: ascending k with the zero-skip; `gemm_tb_rows`: the
+//! tail, then position-determined lanes). Which thread runs a task, and in
+//! which order tasks retire, affects neither the values nor their rounding —
+//! results are bitwise identical to the serial schedule for any worker
+//! count, including 1.
 //!
 //! # Allocation discipline
 //!
@@ -410,7 +412,7 @@ struct SlabCtx<'a> {
     k: usize,
     n: usize,
     chunk: usize,
-    transpose_b: bool,
+    kind: GemmKind,
 }
 
 fn slab_task(s: &SlabCtx<'_>, i: usize) {
@@ -418,18 +420,19 @@ fn slab_task(s: &SlabCtx<'_>, i: usize) {
     let rows = s.chunk.min(s.m - row0);
     // SAFETY: chunks tile 0..m disjointly; one task per chunk.
     let c_seg = unsafe { s.c.slice(row0 * s.n, rows * s.n) };
-    if s.transpose_b {
-        gemm_tb_rows(s.a, s.b, c_seg, row0, rows, s.k, s.n);
-    } else {
-        gemm_rows_offset(s.a, s.b, c_seg, row0, rows, s.k, s.n);
+    match s.kind {
+        GemmKind::Nn => gemm_rows_offset(s.a, s.b, c_seg, row0, rows, s.k, s.n),
+        GemmKind::Nt => gemm_tb_rows(s.a, s.b, c_seg, row0, rows, s.k, s.n),
+        GemmKind::Ta => gemm_ta_rows(s.a, s.b, c_seg, row0, rows, s.k, s.m, s.n),
     }
 }
 
-/// Row-chunked parallel GEMM over the pool; the replacement for the
-/// per-call `std::thread::scope` spawns `matmul_slices` and
-/// `matmul_transpose_b_slices` used to pay. Row chunking matches the old
-/// scoped-spawn split exactly; each row is computed by one task with the
-/// serial kernel, so results are bitwise identical to the serial call.
+/// Row-chunked parallel GEMM over the pool, behind `matmul_slices`,
+/// `matmul_transpose_b_slices` and `matmul_transpose_a`: C's `m` rows
+/// are split into one contiguous chunk per lane, and each row is computed by
+/// one task with the serial kernel, so results are bitwise identical to the
+/// serial call. `k` is the reduction length; for [`GemmKind::Ta`], `a` is
+/// `[k, m]` and `b` is `[k, n]`.
 pub(crate) fn par_gemm_rows(
     a: &[f32],
     m: usize,
@@ -437,7 +440,7 @@ pub(crate) fn par_gemm_rows(
     b: &[f32],
     n: usize,
     c: &mut [f32],
-    transpose_b: bool,
+    kind: GemmKind,
 ) {
     let p = pool();
     let threads = p.size().min(m.max(1));
@@ -451,7 +454,7 @@ pub(crate) fn par_gemm_rows(
         k,
         n,
         chunk,
-        transpose_b,
+        kind,
     };
     p.for_each(&ctx, tasks, slab_task);
 }
@@ -485,8 +488,10 @@ std::thread_local! {
     static PANELS: RefCell<Vec<Panel>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Operand layout of a pooled GEMM batch. In the grouped form `seg` is one
+/// expert's rows and `e` the expert.
 #[derive(Clone, Copy)]
-enum GroupKind {
+pub(crate) enum GemmKind {
     /// `C[seg] += A[seg] @ B_e` (k = inner dim, n = out cols).
     Nn,
     /// `C[seg] = A[seg] @ B_e^T` (B_e is `n x k`, overwrite).
@@ -504,32 +509,32 @@ struct GroupedCtx<'a> {
     /// Row stride of `a` (NN/NT: inner dim; TN: A's column count = C rows).
     k: usize,
     n: usize,
-    kind: GroupKind,
+    kind: GemmKind,
 }
 
 fn grouped_task(g: &GroupedCtx<'_>, i: usize) {
     let p = g.panels[i];
     let a_seg = &g.a[p.row0 * g.k..(p.row0 + p.rows) * g.k];
     match g.kind {
-        GroupKind::Nn => {
+        GemmKind::Nn => {
             // SAFETY: panels carve disjoint output row ranges.
             let c_seg = unsafe { g.c.slice(p.c_off, p.rows * g.n) };
             // SAFETY: weight pointer from a live slice of length k*n.
             let b = unsafe { std::slice::from_raw_parts(p.b, g.k * g.n) };
             gemm_rows_offset(a_seg, b, c_seg, 0, p.rows, g.k, g.n);
         }
-        GroupKind::Nt => {
+        GemmKind::Nt => {
             // SAFETY: as above.
             let c_seg = unsafe { g.c.slice(p.c_off, p.rows * g.n) };
             // SAFETY: weight is `n x k` row-major.
             let b = unsafe { std::slice::from_raw_parts(p.b, g.n * g.k) };
             gemm_tb_rows(a_seg, b, c_seg, 0, p.rows, g.k, g.n);
         }
-        GroupKind::Ta => {
+        GemmKind::Ta => {
             let d_seg = &g.d[p.row0 * g.n..(p.row0 + p.rows) * g.n];
             // SAFETY: one whole-expert task per gradient block; disjoint.
             let c_seg = unsafe { g.c.slice(p.c_off, g.k * g.n) };
-            gemm_ta_rows(a_seg, d_seg, c_seg, p.rows, g.k, g.n);
+            gemm_ta_rows(a_seg, d_seg, c_seg, 0, g.k, p.rows, g.k, g.n);
         }
     }
 }
@@ -633,7 +638,7 @@ pub fn gemm_grouped<'b>(
             panels: &panels,
             k,
             n,
-            kind: GroupKind::Nn,
+            kind: GemmKind::Nn,
         };
         p.for_each(&ctx, ctx.panels.len(), grouped_task);
     });
@@ -706,7 +711,7 @@ pub fn gemm_grouped_transpose_b<'b>(
             panels: &panels,
             k,
             n,
-            kind: GroupKind::Nt,
+            kind: GemmKind::Nt,
         };
         p.for_each(&ctx, ctx.panels.len(), grouped_task);
     });
@@ -761,6 +766,8 @@ pub fn gemm_grouped_transpose_a(
                 &a[row * ac..(row + cnt) * ac],
                 &d[row * n..(row + cnt) * n],
                 &mut c[e * ac * n..(e + 1) * ac * n],
+                0,
+                ac,
                 cnt,
                 ac,
                 n,
@@ -791,7 +798,7 @@ pub fn gemm_grouped_transpose_a(
             panels: &panels,
             k: ac,
             n,
-            kind: GroupKind::Ta,
+            kind: GemmKind::Ta,
         };
         p.for_each(&ctx, ctx.panels.len(), grouped_task);
     });

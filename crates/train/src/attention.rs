@@ -6,7 +6,7 @@
 //! rows): attention is block-diagonal over sequences with a causal mask
 //! inside each.
 
-use xmoe_tensor::{add_assign, matmul, matmul_transpose_b, Tensor};
+use xmoe_tensor::{add_assign, matmul, matmul_transpose_a, matmul_transpose_b, Tensor};
 
 use crate::layers::{LayerNorm, LayerNormCtx};
 
@@ -144,7 +144,7 @@ impl Attention {
         let scale = 1.0 / (hd as f32).sqrt();
 
         // Output projection.
-        let dwo = matmul(&ctx.attn_out.transpose(), d_y);
+        let dwo = matmul_transpose_a(&ctx.attn_out, d_y);
         add_assign(&mut self.go, &dwo);
         let d_attn = matmul_transpose_b(d_y, &self.wo);
 
@@ -202,10 +202,9 @@ impl Attention {
         }
 
         // Projection weight grads and the gradient into the norm.
-        let xn_t = ctx.x_norm.transpose();
-        add_assign(&mut self.gq, &matmul(&xn_t, &d_q));
-        add_assign(&mut self.gk, &matmul(&xn_t, &d_k));
-        add_assign(&mut self.gv, &matmul(&xn_t, &d_v));
+        add_assign(&mut self.gq, &matmul_transpose_a(&ctx.x_norm, &d_q));
+        add_assign(&mut self.gk, &matmul_transpose_a(&ctx.x_norm, &d_k));
+        add_assign(&mut self.gv, &matmul_transpose_a(&ctx.x_norm, &d_v));
         let mut d_norm = matmul_transpose_b(&d_q, &self.wq);
         add_assign(&mut d_norm, &matmul_transpose_b(&d_k, &self.wk));
         add_assign(&mut d_norm, &matmul_transpose_b(&d_v, &self.wv));

@@ -241,10 +241,11 @@ impl Checkpoint {
                 .to_string();
             let rows = r.u64()? as usize;
             let cols = r.u64()? as usize;
-            let n = rows
+            let n_bytes = rows
                 .checked_mul(cols)
+                .and_then(|n| n.checked_mul(4))
                 .ok_or_else(|| CkptError::BadEntry(format!("{name}: shape overflow")))?;
-            let raw = r.take(n * 4)?;
+            let raw = r.take(n_bytes)?;
             let data = raw
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))

@@ -23,8 +23,8 @@ use xmoe_core::pft::Pft;
 use xmoe_core::pipeline::padding_free::EpRoute;
 use xmoe_core::pipeline::MoeLayerSpec;
 use xmoe_tensor::{
-    add_assign, gather_rows, matmul, matmul_transpose_b, scale_assign, scatter_rows_scaled,
-    scatter_rows_unit, softmax_rows, topk_rows, Tensor,
+    add_assign, gather_rows, matmul, matmul_transpose_a, matmul_transpose_b, scale_assign,
+    scatter_rows_scaled, scatter_rows_unit, softmax_rows, topk_rows, Tensor,
 };
 
 use crate::adam::Adam;
@@ -440,13 +440,13 @@ impl DistMoe {
             let seg_pre = ctx.h_pre.slice_rows(start, end);
             let seg_act = ctx.h_act.slice_rows(start, end);
             let seg_dy = d_y.slice_rows(start, end);
-            let dw2 = matmul(&seg_act.transpose(), &seg_dy);
+            let dw2 = matmul_transpose_a(&seg_act, &seg_dy);
             add_assign(&mut self.g_shard[e].1, &dw2);
             let mut d_h = matmul_transpose_b(&seg_dy, &self.shard[e].1);
             for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(seg_pre.as_slice()) {
                 *d *= silu_grad(pre);
             }
-            let dw1 = matmul(&seg_x.transpose(), &d_h);
+            let dw1 = matmul_transpose_a(&seg_x, &d_h);
             add_assign(&mut self.g_shard[e].0, &dw1);
             let d_seg = matmul_transpose_b(&d_h, &self.shard[e].0);
             d_expert_in.as_mut_slice()[start * hidden..end * hidden]
@@ -478,7 +478,7 @@ impl DistMoe {
                 dl[j] = s_row[j] * (ds_row[j] - inner);
             }
         }
-        let dg = matmul(&ctx.x.transpose(), &d_logits);
+        let dg = matmul_transpose_a(&ctx.x, &d_logits);
         add_assign(&mut self.g_gate, &dg);
         let d_x_gate = matmul_transpose_b(&d_logits, &self.gate);
         add_assign(&mut d_x, &d_x_gate);
@@ -535,13 +535,13 @@ impl DistMoe {
                         let seg_pre = ctx.h_pre.slice_rows(start, end);
                         let seg_act = ctx.h_act.slice_rows(start, end);
                         let seg_dy = chunk_dy.slice_rows(row, row + cnt);
-                        let dw2 = matmul(&seg_act.transpose(), &seg_dy);
+                        let dw2 = matmul_transpose_a(&seg_act, &seg_dy);
                         add_assign(&mut g_shard[e].1, &dw2);
                         let mut d_h = matmul_transpose_b(&seg_dy, &shard[e].1);
                         for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(seg_pre.as_slice()) {
                             *d *= silu_grad(pre);
                         }
-                        let dw1 = matmul(&seg_x.transpose(), &d_h);
+                        let dw1 = matmul_transpose_a(&seg_x, &d_h);
                         add_assign(&mut g_shard[e].0, &dw1);
                         let d_seg = matmul_transpose_b(&d_h, &shard[e].0);
                         d_chunk.as_mut_slice()[row * hidden..(row + cnt) * hidden]
@@ -574,7 +574,7 @@ impl DistMoe {
                 dl[j] = s_row[j] * (ds_row[j] - inner);
             }
         }
-        let dg = matmul(&ctx.x.transpose(), &d_logits);
+        let dg = matmul_transpose_a(&ctx.x, &d_logits);
         add_assign(&mut self.g_gate, &dg);
         let d_x_gate = matmul_transpose_b(&d_logits, &self.gate);
         add_assign(&mut d_x, &d_x_gate);

@@ -1,7 +1,7 @@
 //! Dense layers with hand-written backward passes: embedding, a GELU MLP
 //! block, and the fused softmax-cross-entropy head.
 
-use xmoe_tensor::{add_assign, matmul, matmul_transpose_b, Tensor};
+use xmoe_tensor::{add_assign, matmul, matmul_transpose_a, matmul_transpose_b, Tensor};
 
 /// Token embedding table `[V, H]`.
 #[derive(Clone, Debug)]
@@ -193,8 +193,7 @@ impl DenseMlp {
     /// Backward: returns `d_x`; accumulates weight grads.
     pub fn backward(&mut self, ctx: &DenseMlpCtx, d_y: &Tensor) -> Tensor {
         // dW2 += h_act^T d_y
-        let h_act_t = ctx.h_act.transpose();
-        let dw2 = matmul(&h_act_t, d_y);
+        let dw2 = matmul_transpose_a(&ctx.h_act, d_y);
         add_assign(&mut self.g2, &dw2);
         // d_h_act = d_y W2^T
         let mut d_h = matmul_transpose_b(d_y, &self.w2);
@@ -203,8 +202,7 @@ impl DenseMlp {
             *d *= gelu_grad(pre);
         }
         // dW1 += x_norm^T d_h
-        let xn_t = ctx.x_norm.transpose();
-        let dw1 = matmul(&xn_t, &d_h);
+        let dw1 = matmul_transpose_a(&ctx.x_norm, &d_h);
         add_assign(&mut self.g1, &dw1);
         // Through the layer norm, then add the residual path.
         let d_norm_in = matmul_transpose_b(&d_h, &self.w1);
@@ -279,8 +277,7 @@ impl Head {
         }
         xmoe_tensor::scale_assign(&mut d_logits, (1.0 / n as f32) * loss_scale);
         // dW += x^T d_logits
-        let x_t = x.transpose();
-        let dw = matmul(&x_t, &d_logits);
+        let dw = matmul_transpose_a(x, &d_logits);
         add_assign(&mut self.grad, &dw);
         let d_x = matmul_transpose_b(&d_logits, &self.weight);
         (loss / n as f64, d_x)

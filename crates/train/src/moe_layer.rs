@@ -15,8 +15,8 @@ use xmoe_core::pft::{Pft, PftScratch};
 use xmoe_tensor::{
     add_assign, add_assign_slice, gather_rows, gather_rows_into, gemm_grouped,
     gemm_grouped_transpose_a, gemm_grouped_transpose_b, matmul, matmul_into, matmul_slices,
-    matmul_transpose_b, matmul_transpose_b_slices, scatter_rows_unit, softmax_rows, topk_rows,
-    topk_rows_into, Tensor, Workspace,
+    matmul_transpose_a, matmul_transpose_b, matmul_transpose_b_slices, scatter_rows_unit,
+    softmax_rows, topk_rows, topk_rows_into, Tensor, Workspace,
 };
 
 /// A trainable MoE layer (all experts local — the loss-validation
@@ -452,7 +452,7 @@ impl TrainableMoe {
                 }
             }
         }
-        let dg = matmul(&ctx.x.transpose(), &d_logits);
+        let dg = matmul_transpose_a(&ctx.x, &d_logits);
         add_assign(&mut self.g_gate, &dg);
         let d_x_gate = matmul_transpose_b(&d_logits, &self.gate);
         add_assign(&mut d_x, &d_x_gate);
