@@ -7,7 +7,7 @@
 //! drops on capacity overflow. [`DropPolicy`] encodes both behaviours so the
 //! loss-validation experiment (Fig 15) can reproduce the gap.
 
-use xmoe_tensor::{matmul, matmul_into, softmax_rows, topk_rows, topk_rows_into, Tensor};
+use xmoe_tensor::{matmul_into, softmax_rows, topk_rows_into, Tensor};
 
 /// When is a routed (token, expert) pair eligible to be dropped before
 /// capacity is even considered?
@@ -76,8 +76,8 @@ impl Default for GatingOutput {
     }
 }
 
-/// Reusable scratch for [`Router::gate_into`]: the logits tensor and the
-/// top-k selection order. Grow-only, like every pooled scratch.
+/// Reusable scratch for [`gate_with`]: the logits tensor and the top-k
+/// selection order. Grow-only, like every pooled scratch.
 #[derive(Debug, Default)]
 pub struct GateScratch {
     logits: Tensor,
@@ -116,65 +116,65 @@ impl Router {
     }
 
     /// Run gating over `tokens` (`[S, H]`): compute logits, softmax, select
-    /// top-k experts per token (Listing 1 lines 1–8).
+    /// top-k experts per token (Listing 1 lines 1–8). [`Router::gate_into`]
+    /// with throwaway buffers.
     pub fn gate(&self, tokens: &Tensor) -> GatingOutput {
-        assert_eq!(
-            tokens.cols(),
-            self.weight.rows(),
-            "token hidden dim mismatch"
-        );
-        let logits = matmul(tokens, &self.weight);
-        let mut scores = logits.clone();
-        softmax_rows(&mut scores);
-        let k = self.top_k;
-        let (top_experts, combine_weights) = topk_rows(&scores, k);
-        let top_logits = top_experts
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| logits.get(i / k, e))
-            .collect();
-        GatingOutput {
-            top_experts,
-            combine_weights,
-            top_logits,
-            k,
-            scores,
-        }
+        let mut out = GatingOutput::default();
+        self.gate_into(tokens, &mut GateScratch::default(), &mut out);
+        out
     }
 
-    /// [`Router::gate`] on caller-owned buffers: logits land in the scratch
-    /// tensor, scores/top-k arrays in the reused `out`. Results are identical
-    /// to the owned variant; with warm buffers the call performs no heap
-    /// allocation.
+    /// [`gate_with`] this router's weights, unguarded: logits land in the
+    /// scratch tensor, scores/top-k arrays in the reused `out`. With warm
+    /// buffers the call performs no heap allocation.
     pub fn gate_into(&self, tokens: &Tensor, scratch: &mut GateScratch, out: &mut GatingOutput) {
-        assert_eq!(
-            tokens.cols(),
-            self.weight.rows(),
-            "token hidden dim mismatch"
-        );
-        let logits = &mut scratch.logits;
-        logits.resize(tokens.rows(), self.weight.cols());
-        matmul_into(tokens, &self.weight, logits);
-        out.scores.resize(tokens.rows(), self.weight.cols());
-        out.scores.as_mut_slice().copy_from_slice(logits.as_slice());
-        softmax_rows(&mut out.scores);
-        let k = self.top_k;
-        topk_rows_into(
-            &out.scores,
-            k,
-            &mut out.top_experts,
-            &mut out.combine_weights,
-            &mut scratch.order,
-        );
-        out.top_logits.clear();
-        out.top_logits.extend(
-            out.top_experts
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| logits.get(i / k, e)),
-        );
-        out.k = k;
+        gate_with(tokens, &self.weight, self.top_k, 0.0, None, scratch, out);
     }
+}
+
+/// The gating function every MoE layer runs: `logits = tokens @ weight`
+/// (`[S, H] x [H, E]`), clamped into `[-logit_clamp, logit_clamp]` when
+/// the clamp is positive ([`clamp_logits`]), then a row softmax and a
+/// top-`k` selection into `out`. When `lse` is given it receives the
+/// per-token logsumexp of the (clamped) logits — the z-loss statistic.
+/// Returns how many logits the clamp limited. Buffers are reused, so warm
+/// calls perform no heap allocation.
+pub fn gate_with(
+    tokens: &Tensor,
+    weight: &Tensor,
+    k: usize,
+    logit_clamp: f32,
+    lse: Option<&mut Vec<f32>>,
+    scratch: &mut GateScratch,
+    out: &mut GatingOutput,
+) -> usize {
+    assert_eq!(tokens.cols(), weight.rows(), "token hidden dim mismatch");
+    let logits = &mut scratch.logits;
+    logits.resize(tokens.rows(), weight.cols());
+    matmul_into(tokens, weight, logits);
+    let clamped = clamp_logits(logits, logit_clamp);
+    if let Some(lse) = lse {
+        row_logsumexp_into(logits, lse);
+    }
+    out.scores.resize(tokens.rows(), weight.cols());
+    out.scores.as_mut_slice().copy_from_slice(logits.as_slice());
+    softmax_rows(&mut out.scores);
+    topk_rows_into(
+        &out.scores,
+        k,
+        &mut out.top_experts,
+        &mut out.combine_weights,
+        &mut scratch.order,
+    );
+    out.top_logits.clear();
+    out.top_logits.extend(
+        out.top_experts
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| logits.get(i / k, e)),
+    );
+    out.k = k;
+    clamped
 }
 
 /// Router numerical-health guards. Large-scale MoE reports (Megatron Core
@@ -229,16 +229,9 @@ pub fn clamp_logits(logits: &mut Tensor, limit: f32) -> usize {
 }
 
 /// Numerically stable per-row `log(sum(exp(logits)))` — the router's
-/// z-statistic. The max is subtracted before exponentiation so finite
-/// logits always produce a finite z.
-pub fn row_logsumexp(logits: &Tensor) -> Vec<f32> {
-    let mut out = Vec::new();
-    row_logsumexp_into(logits, &mut out);
-    out
-}
-
-/// [`row_logsumexp`] into a caller-owned buffer (cleared first) — the
-/// warm-buffer variant used by pooled training steps.
+/// z-statistic — into a caller-owned buffer (cleared first). The max is
+/// subtracted before exponentiation so finite logits always produce a
+/// finite z.
 pub fn row_logsumexp_into(logits: &Tensor, out: &mut Vec<f32>) {
     out.clear();
     out.extend((0..logits.rows()).map(|t| {
@@ -264,6 +257,7 @@ pub fn z_loss_value(lse: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xmoe_tensor::matmul;
 
     #[test]
     fn gate_selects_k_distinct_experts_per_token() {
@@ -369,7 +363,8 @@ mod tests {
             4,
             vec![1.0; 4].into_iter().chain(vec![500.0; 4]).collect(),
         );
-        let lse = row_logsumexp(&t);
+        let mut lse = Vec::new();
+        row_logsumexp_into(&t, &mut lse);
         assert!((lse[0] - (1.0 + 4.0f32.ln())).abs() < 1e-6);
         // Huge logits stay finite thanks to max subtraction.
         assert!(lse[1].is_finite());

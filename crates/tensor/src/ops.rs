@@ -139,16 +139,46 @@ pub fn matmul_transpose_a(a: &Tensor, d: &Tensor) -> Tensor {
     let (rd, n) = d.shape();
     assert_eq!(r, rd, "matmul_transpose_a row-count mismatch");
     let mut c = Tensor::zeros(m, n);
-    if m == 0 || n == 0 {
-        return c;
-    }
-    let (a, d, cs) = (a.as_slice(), d.as_slice(), c.as_mut_slice());
-    if !crate::par::pool().is_parallel() || m * n * r < crate::par::PAR_CUTOFF {
-        gemm_ta_rows(a, d, cs, 0, m, r, m, n);
-    } else {
-        crate::par::par_gemm_rows(a, m, r, d, n, cs, GemmKind::Ta);
-    }
+    matmul_transpose_a_slices(a.as_slice(), r, m, d.as_slice(), n, c.as_mut_slice());
     c
+}
+
+/// Slice-level [`matmul_transpose_a`]: `C = A^T @ D` on raw row-major
+/// slices (`a` is `r*m`, `d` is `r*n`, `c` is `m*n`, overwritten). Lets
+/// pooled backward passes write weight gradients into workspace leases;
+/// bitwise identical to the tensor-level call.
+pub fn matmul_transpose_a_slices(
+    a: &[f32],
+    r: usize,
+    m: usize,
+    d: &[f32],
+    n: usize,
+    c: &mut [f32],
+) {
+    assert_eq!(
+        a.len(),
+        r * m,
+        "matmul_transpose_a_slices: A length mismatch"
+    );
+    assert_eq!(
+        d.len(),
+        r * n,
+        "matmul_transpose_a_slices: D length mismatch"
+    );
+    assert_eq!(
+        c.len(),
+        m * n,
+        "matmul_transpose_a_slices: C length mismatch"
+    );
+    c.fill(0.0);
+    if m == 0 || n == 0 {
+        return;
+    }
+    if !crate::par::pool().is_parallel() || m * n * r < crate::par::PAR_CUTOFF {
+        gemm_ta_rows(a, d, c, 0, m, r, m, n);
+    } else {
+        crate::par::par_gemm_rows(a, m, r, d, n, c, GemmKind::Ta);
+    }
 }
 
 // ---------------------------------------------------------------------------

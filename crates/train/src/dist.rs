@@ -3,14 +3,18 @@
 //! paper's communication pattern — two uneven all-to-alls forward and two
 //! mirrored ones backward (4 per layer per step, §4.3).
 //!
-//! The gradient transport reuses [`EpRoute`]: `to_experts`/`to_source`
-//! form an adjoint pair (each is a bijective row relocation), so
-//! activation gradients travel the forward route in reverse:
+//! The gradient transport reuses the forward route: `to_experts`/
+//! `to_source` form an adjoint pair (each is a bijective row relocation),
+//! so activation gradients travel the forward route in reverse:
 //!
 //! ```text
 //! forward:  dispatch_in --to_experts--> expert_input -> y --to_source--> combine_in
 //! backward: d_combine   --to_experts--> d_y -> d_expert_in --to_source--> d_dispatch
 //! ```
+//!
+//! The layer math between the exchanges — gating, the grouped expert FFN,
+//! the combine and router backward — is [`crate::moe_layer`]'s, shared
+//! with the single-rank [`TrainableMoe`].
 //!
 //! Dense/router/embedding parameters are replicated across ranks and
 //! synchronized by averaging gradients (ZeRO-0-style DP); expert weights
@@ -18,13 +22,12 @@
 //! global because every rank's tokens were dispatched to them.
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_core::gating::{DropPolicy, GatingOutput};
+use xmoe_core::gating::{gate_with, DropPolicy, GateScratch, GatingOutput};
 use xmoe_core::pft::Pft;
 use xmoe_core::pipeline::padding_free::EpRoute;
 use xmoe_core::pipeline::MoeLayerSpec;
 use xmoe_tensor::{
-    add_assign, gather_rows, matmul, matmul_transpose_a, matmul_transpose_b, scale_assign,
-    scatter_rows_scaled, scatter_rows_unit, softmax_rows, topk_rows, Tensor,
+    gather_rows, scale_assign, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace,
 };
 
 use crate::adam::Adam;
@@ -32,16 +35,7 @@ use crate::attention::Attention;
 use crate::checkpoint::Checkpoint;
 use crate::elastic::{ElasticRoute, ExpertAssignment};
 use crate::layers::{DenseMlp, Embedding, Head};
-use crate::moe_layer::TrainableMoe;
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-fn silu_grad(x: f32) -> f32 {
-    let s = sigmoid(x);
-    s * (1.0 + x * (1.0 - s))
-}
+use crate::moe_layer::{combine_backward, ffn_backward, ffn_forward, RouterBackward, TrainableMoe};
 
 /// A trainable MoE layer whose experts are sharded across an EP group.
 #[derive(Clone, Debug)]
@@ -71,21 +65,32 @@ pub struct DistMoe {
     pub policy: DropPolicy,
 }
 
-/// The route a forward pass traveled: the specialized uniform-contiguous
-/// [`EpRoute`] (overlap path) or the general [`ElasticRoute`]. Both
-/// regroup rows expert-major in (local expert, source rank, source PFT
-/// order), so the backward pass is agnostic to which one carried the
-/// tokens.
-pub enum RouteKind {
+/// The route a forward pass traveled: the uniform-contiguous [`EpRoute`]
+/// (chunked-overlap path) or the general [`ElasticRoute`]. Both regroup
+/// rows expert-major in (local expert, source rank, source PFT order), so
+/// the expert math is agnostic to which one carried the tokens.
+enum RouteKind {
     Ep(EpRoute),
     Elastic(ElasticRoute),
 }
+
+/// Stage labels of the forward and backward exchanges: (to experts,
+/// expert compute, back to sources).
+const FORWARD_STAGES: (&str, &str, &str) = ("dispatch_a2a", "expert", "combine_a2a");
+const BACKWARD_STAGES: (&str, &str, &str) = ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a");
 
 impl RouteKind {
     fn pft(&self) -> &Pft {
         match self {
             RouteKind::Ep(r) => &r.pft,
             RouteKind::Elastic(r) => &r.pft,
+        }
+    }
+
+    fn tokens_per_local_expert(&self) -> &[usize] {
+        match self {
+            RouteKind::Ep(r) => &r.tokens_per_local_expert,
+            RouteKind::Elastic(r) => &r.tokens_per_local_expert,
         }
     }
 
@@ -110,6 +115,47 @@ impl RouteKind {
         match self {
             RouteKind::Ep(r) => r.to_source(rows, ep, clock),
             RouteKind::Elastic(r) => r.to_source(rows, ep, clock),
+        }
+    }
+
+    /// Carry PFT-ordered `rows` to the experts, run `compute` on each
+    /// received expert-major block — called with the block's local-expert
+    /// range `[e0, e1)`, it must return one output row per input row — and
+    /// carry the outputs back to PFT order on the sources.
+    ///
+    /// With `chunks > 1` on an [`EpRoute`] the exchange is split into
+    /// expert-major chunks pipelined against `compute` through
+    /// [`EpRoute::exchange_overlap`]; otherwise it is one serial
+    /// all-to-all each way with a single `compute` over every local
+    /// expert. Both give bitwise-identical results; the simulated clock
+    /// prices the schedule actually run.
+    fn exchange<F>(
+        &self,
+        rows: &Tensor,
+        chunks: usize,
+        stages: (&str, &str, &str),
+        ep: &Communicator,
+        clock: &mut SimClock,
+        mut compute: F,
+    ) -> Result<Tensor, CommError>
+    where
+        F: FnMut((usize, usize), &Tensor) -> Tensor,
+    {
+        match self {
+            RouteKind::Ep(r) if chunks > 1 => {
+                r.exchange_overlap(rows, chunks, stages, ep, clock, |_, plan, chunk, _| {
+                    compute(plan.experts, chunk)
+                })
+            }
+            _ => {
+                let (out_stage, _, back_stage) = stages;
+                let input = self.to_experts(rows, ep, clock)?;
+                clock.commit(out_stage);
+                let output = compute((0, self.tokens_per_local_expert().len()), &input);
+                let back = self.to_source(&output, ep, clock)?;
+                clock.commit(back_stage);
+                Ok(back)
+            }
         }
     }
 }
@@ -198,99 +244,28 @@ impl DistMoe {
         MoeLayerSpec::new(self.num_experts, self.capacity).with_policy(self.policy)
     }
 
-    /// Distributed forward: `out = x + combine(experts(dispatch(x)))`.
+    /// Distributed forward: `out = x + combine(experts(dispatch(x)))` with
+    /// one serial all-to-all each way — [`Self::forward_overlap`] with one
+    /// chunk.
     pub fn forward(
         &self,
         x: &Tensor,
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<(Tensor, DistMoeCtx), CommError> {
-        let hidden = x.cols();
-        let logits = matmul(x, &self.gate);
-        let mut scores = logits.clone();
-        softmax_rows(&mut scores);
-        let (top_experts, combine_weights) = topk_rows(&scores, self.top_k);
-        let top_logits = top_experts
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| logits.get(i / self.top_k, e))
-            .collect();
-        let gating = GatingOutput {
-            top_experts,
-            combine_weights,
-            top_logits,
-            k: self.top_k,
-            scores: scores.clone(),
-        };
-        let pft = Pft::construct(&gating, self.num_experts, self.capacity, self.policy);
-
-        let dispatch_in = gather_rows(x, &pft.token_ids);
-        // The general route serves any assignment; on the uniform layout it
-        // is bitwise- and price-identical to the specialized `EpRoute`.
-        let route = ElasticRoute::build(pft, &self.assignment, ep, clock)?;
-        clock.commit("dispatch_a2a_meta");
-        let expert_input = route.to_experts(&dispatch_in, ep, clock)?;
-        clock.commit("dispatch_a2a");
-
-        // Per-expert FFN over expert-major segments, saving intermediates.
-        let f = self.ffn;
-        let total = expert_input.rows();
-        let mut h_pre = Tensor::zeros(total, f);
-        let mut h_act = Tensor::zeros(total, f);
-        let mut y = Tensor::zeros(total, hidden);
-        let mut seg_offsets = Vec::with_capacity(self.shard.len() + 1);
-        seg_offsets.push(0);
-        let mut row = 0usize;
-        for (e, &cnt) in route.tokens_per_local_expert.iter().enumerate() {
-            if cnt > 0 {
-                let seg = expert_input.slice_rows(row, row + cnt);
-                let pre = matmul(&seg, &self.shard[e].0);
-                let mut act = pre.clone();
-                for v in act.as_mut_slice() {
-                    *v *= sigmoid(*v);
-                }
-                let out = matmul(&act, &self.shard[e].1);
-                h_pre.as_mut_slice()[row * f..(row + cnt) * f].copy_from_slice(pre.as_slice());
-                h_act.as_mut_slice()[row * f..(row + cnt) * f].copy_from_slice(act.as_slice());
-                y.as_mut_slice()[row * hidden..(row + cnt) * hidden]
-                    .copy_from_slice(out.as_slice());
-            }
-            row += cnt;
-            seg_offsets.push(row);
-        }
-
-        let combine_in = route.to_source(&y, ep, clock)?;
-        clock.commit("combine_a2a");
-
-        let mut out = x.clone();
-        scatter_rows_scaled(
-            &combine_in,
-            &route.pft.token_ids,
-            &route.pft.combine_weights,
-            &mut out,
-        );
-        Ok((
-            out,
-            DistMoeCtx {
-                x: x.clone(),
-                scores,
-                route: RouteKind::Elastic(route),
-                expert_input,
-                h_pre,
-                h_act,
-                seg_offsets,
-                combine_in,
-            },
-        ))
+        self.forward_overlap(x, 1, ep, clock)
     }
 
-    /// Chunked-overlap distributed forward: bitwise-identical numerics to
-    /// [`forward`](Self::forward), with the dispatch and combine all-to-alls
+    /// The distributed forward. With `chunks > 1` on the uniform
+    /// contiguous expert layout, the dispatch and combine all-to-alls are
     /// split into `chunks` expert-major chunks pipelined against the
-    /// per-expert FFNs via [`EpRoute::exchange_overlap`]. The train path
-    /// charges no simulated compute for expert GEMMs (matching the serial
-    /// forward), so the schedule — not the clock — is what changes here;
-    /// the priced overlap win is measured in `xmoe-core`/`bench overlap`.
+    /// expert FFNs via [`EpRoute::exchange_overlap`]; every other case —
+    /// one chunk, or an elastic (migrated, ragged, replicated) layout —
+    /// takes the serial [`ElasticRoute`] exchange. Numerics are bitwise
+    /// identical either way. The train path charges no simulated compute
+    /// for expert GEMMs, so the schedule — not the clock — is what
+    /// overlap changes here; the priced overlap win is measured in
+    /// `xmoe-core`/`bench overlap`.
     pub fn forward_overlap(
         &self,
         x: &Tensor,
@@ -298,100 +273,74 @@ impl DistMoe {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<(Tensor, DistMoeCtx), CommError> {
-        assert!(
-            self.assignment.is_uniform_contiguous(),
-            "the chunked-overlap path specializes the uniform contiguous \
-             expert layout; elastic assignments take the serial path"
+        let mut gating = GatingOutput::default();
+        gate_with(
+            x,
+            &self.gate,
+            self.top_k,
+            0.0,
+            None,
+            &mut GateScratch::default(),
+            &mut gating,
         );
-        let hidden = x.cols();
-        let logits = matmul(x, &self.gate);
-        let mut scores = logits.clone();
-        softmax_rows(&mut scores);
-        let (top_experts, combine_weights) = topk_rows(&scores, self.top_k);
-        let top_logits = top_experts
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| logits.get(i / self.top_k, e))
-            .collect();
-        let gating = GatingOutput {
-            top_experts,
-            combine_weights,
-            top_logits,
-            k: self.top_k,
-            scores: scores.clone(),
-        };
         let pft = Pft::construct(&gating, self.num_experts, self.capacity, self.policy);
-
         let dispatch_in = gather_rows(x, &pft.token_ids);
-        let route = EpRoute::build(pft, &self.spec(), ep, clock)?;
+        let route = if chunks > 1 && self.assignment.is_uniform_contiguous() {
+            RouteKind::Ep(EpRoute::build(pft, &self.spec(), ep, clock)?)
+        } else {
+            RouteKind::Elastic(ElasticRoute::build(pft, &self.assignment, ep, clock)?)
+        };
         clock.commit("dispatch_a2a_meta");
 
-        let f = self.ffn;
-        let counts = route.tokens_per_local_expert.clone();
-        let mut seg_offsets = Vec::with_capacity(self.shard.len() + 1);
+        let (h, f) = (self.hidden, self.ffn);
+        let counts = route.tokens_per_local_expert();
+        let mut seg_offsets = Vec::with_capacity(counts.len() + 1);
         seg_offsets.push(0usize);
-        for &cnt in &counts {
-            seg_offsets.push(seg_offsets.last().unwrap() + cnt);
+        for &cnt in counts {
+            seg_offsets.push(seg_offsets[seg_offsets.len() - 1] + cnt);
         }
-        let total = *seg_offsets.last().unwrap();
-        let mut expert_input = Tensor::zeros(total, hidden);
-        let mut h_pre = Tensor::zeros(total, f);
-        let mut h_act = Tensor::zeros(total, f);
-
-        let combine_in = route.exchange_overlap(
+        let rows = seg_offsets[counts.len()];
+        let mut expert_input = Tensor::zeros(rows, h);
+        let mut h_pre = Tensor::zeros(rows, f);
+        let mut h_act = Tensor::zeros(rows, f);
+        let combine_in = route.exchange(
             &dispatch_in,
             chunks,
-            ("dispatch_a2a", "expert", "combine_a2a"),
+            FORWARD_STAGES,
             ep,
             clock,
-            |_c, plan, chunk_in, _clock| {
-                // Chunk c covers local experts [e0, e1); its rows are the
-                // expert-major slice [seg_offsets[e0], seg_offsets[e1]) of
-                // the full buffer, so saving them in place reproduces the
-                // serial `expert_input`/`h_pre`/`h_act` exactly.
-                let (e0, e1) = plan.experts;
-                let row0 = seg_offsets[e0];
-                expert_input.as_mut_slice()[row0 * hidden..(row0 + chunk_in.rows()) * hidden]
-                    .copy_from_slice(chunk_in.as_slice());
-                let mut y_chunk = Tensor::zeros(chunk_in.rows(), hidden);
-                let mut row = 0usize;
-                for e in e0..e1 {
-                    let cnt = counts[e];
-                    if cnt > 0 {
-                        let seg = chunk_in.slice_rows(row, row + cnt);
-                        let pre = matmul(&seg, &self.shard[e].0);
-                        let mut act = pre.clone();
-                        for v in act.as_mut_slice() {
-                            *v *= sigmoid(*v);
-                        }
-                        let out = matmul(&act, &self.shard[e].1);
-                        let g0 = row0 + row;
-                        h_pre.as_mut_slice()[g0 * f..(g0 + cnt) * f]
-                            .copy_from_slice(pre.as_slice());
-                        h_act.as_mut_slice()[g0 * f..(g0 + cnt) * f]
-                            .copy_from_slice(act.as_slice());
-                        y_chunk.as_mut_slice()[row * hidden..(row + cnt) * hidden]
-                            .copy_from_slice(out.as_slice());
-                    }
-                    row += cnt;
-                }
-                y_chunk
+            |(e0, e1), input| {
+                // The block covers the expert-major rows [r0, r1) of the
+                // full buffers, so saving in place reproduces the serial
+                // `expert_input`/`h_pre`/`h_act` exactly.
+                let (r0, r1) = (seg_offsets[e0], seg_offsets[e1]);
+                expert_input.as_mut_slice()[r0 * h..r1 * h].copy_from_slice(input.as_slice());
+                let mut y = Tensor::zeros(r1 - r0, h);
+                ffn_forward(
+                    &self.shard[e0..e1],
+                    &counts[e0..e1],
+                    input.as_slice(),
+                    &mut h_pre.as_mut_slice()[r0 * f..r1 * f],
+                    &mut h_act.as_mut_slice()[r0 * f..r1 * f],
+                    y.as_mut_slice(),
+                );
+                y
             },
         )?;
 
         let mut out = x.clone();
         scatter_rows_scaled(
             &combine_in,
-            &route.pft.token_ids,
-            &route.pft.combine_weights,
+            &route.pft().token_ids,
+            &route.pft().combine_weights,
             &mut out,
         );
         Ok((
             out,
             DistMoeCtx {
                 x: x.clone(),
-                scores,
-                route: RouteKind::Ep(route),
+                scores: gating.scores,
+                route,
                 expert_input,
                 h_pre,
                 h_act,
@@ -402,7 +351,8 @@ impl DistMoe {
     }
 
     /// Distributed backward: accumulates local grads, returns `d_x`.
-    /// Mirrors the forward route with two more all-to-alls.
+    /// Mirrors the forward route with two more serial all-to-alls —
+    /// [`Self::backward_overlap`] with one chunk.
     pub fn backward(
         &mut self,
         ctx: &DistMoeCtx,
@@ -410,87 +360,17 @@ impl DistMoe {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
-        let hidden = ctx.x.cols();
-        let pft = ctx.route.pft();
-        let b = pft.len();
-        let mut d_x = d_out.clone(); // residual
-
-        // Source side: d_combine rows (PFT order) and combine-weight grads.
-        let mut d_combine = gather_rows(d_out, &pft.token_ids);
-        let mut d_w = vec![0.0f32; b];
-        for i in 0..b {
-            let w = ctx.route.pft().combine_weights[i];
-            let y_row = ctx.combine_in.row(i);
-            let dc = d_combine.row_mut(i);
-            d_w[i] = xmoe_tensor::dot_and_scale(dc, y_row, w);
-        }
-
-        // Backward all-to-all #1: gradients to the expert side.
-        let d_y = ctx.route.to_experts(&d_combine, ep, clock)?;
-        clock.commit("bwd_combine_a2a");
-
-        // Expert FFN backward over segments; expert grads stay local.
-        let mut d_expert_in = Tensor::zeros(ctx.expert_input.rows(), hidden);
-        for e in 0..self.shard.len() {
-            let (start, end) = (ctx.seg_offsets[e], ctx.seg_offsets[e + 1]);
-            if start == end {
-                continue;
-            }
-            let seg_x = ctx.expert_input.slice_rows(start, end);
-            let seg_pre = ctx.h_pre.slice_rows(start, end);
-            let seg_act = ctx.h_act.slice_rows(start, end);
-            let seg_dy = d_y.slice_rows(start, end);
-            let dw2 = matmul_transpose_a(&seg_act, &seg_dy);
-            add_assign(&mut self.g_shard[e].1, &dw2);
-            let mut d_h = matmul_transpose_b(&seg_dy, &self.shard[e].1);
-            for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(seg_pre.as_slice()) {
-                *d *= silu_grad(pre);
-            }
-            let dw1 = matmul_transpose_a(&seg_x, &d_h);
-            add_assign(&mut self.g_shard[e].0, &dw1);
-            let d_seg = matmul_transpose_b(&d_h, &self.shard[e].0);
-            d_expert_in.as_mut_slice()[start * hidden..end * hidden]
-                .copy_from_slice(d_seg.as_slice());
-        }
-
-        // Backward all-to-all #2: dispatch gradients back to sources.
-        let d_dispatch = ctx.route.to_source(&d_expert_in, ep, clock)?;
-        clock.commit("bwd_dispatch_a2a");
-        let pft = ctx.route.pft();
-        scatter_rows_unit(&d_dispatch, &pft.token_ids, &mut d_x);
-
-        // Router backward (local; router is replicated).
-        let e_count = self.num_experts;
-        let mut d_scores = Tensor::zeros(ctx.x.rows(), e_count);
-        for i in 0..b {
-            let t = pft.token_ids[i];
-            let e = pft.expert_ids[i];
-            let v = d_scores.get(t, e);
-            d_scores.set(t, e, v + d_w[i]);
-        }
-        let mut d_logits = Tensor::zeros(ctx.x.rows(), e_count);
-        for t in 0..ctx.x.rows() {
-            let s_row = ctx.scores.row(t);
-            let ds_row = d_scores.row(t);
-            let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
-            let dl = d_logits.row_mut(t);
-            for j in 0..e_count {
-                dl[j] = s_row[j] * (ds_row[j] - inner);
-            }
-        }
-        let dg = matmul_transpose_a(&ctx.x, &d_logits);
-        add_assign(&mut self.g_gate, &dg);
-        let d_x_gate = matmul_transpose_b(&d_logits, &self.gate);
-        add_assign(&mut d_x, &d_x_gate);
-        Ok(d_x)
+        self.backward_overlap(ctx, d_out, 1, ep, clock)
     }
 
-    /// Chunked-overlap distributed backward: bitwise-identical gradients to
-    /// [`backward`](Self::backward). The backward chain has the same shape
-    /// as the forward one — a dispatch-direction all-to-all (`d_combine` to
-    /// the expert side), per-expert GEMMs, and a combine-direction
-    /// all-to-all (`d_expert_in` back to sources) — so it pipelines through
-    /// the same [`EpRoute::exchange_overlap`] primitive.
+    /// The distributed backward, for a context from either forward. The
+    /// backward chain has the same shape as the forward one — a
+    /// dispatch-direction all-to-all (`d_combine` to the expert side), the
+    /// expert FFN backward, and a combine-direction all-to-all
+    /// (`d_expert_in` back to sources) — so with `chunks > 1` on a
+    /// chunked-overlap context it pipelines through the same
+    /// [`EpRoute::exchange_overlap`]; otherwise it runs serially.
+    /// Gradients are bitwise identical either way.
     pub fn backward_overlap(
         &mut self,
         ctx: &DistMoeCtx,
@@ -499,85 +379,55 @@ impl DistMoe {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
-        let RouteKind::Ep(route) = &ctx.route else {
-            panic!("backward_overlap requires a forward_overlap context (EpRoute)");
-        };
-        let hidden = ctx.x.cols();
-        let b = route.pft.len();
+        let mut ws = Workspace::new();
+        let pft = ctx.route.pft();
         let mut d_x = d_out.clone(); // residual
+        let (d_combine, d_w) = combine_backward(d_out, pft, &ctx.combine_in, &mut ws);
 
-        let mut d_combine = gather_rows(d_out, &route.pft.token_ids);
-        let mut d_w = vec![0.0f32; b];
-        for i in 0..b {
-            let w = route.pft.combine_weights[i];
-            let y_row = ctx.combine_in.row(i);
-            let dc = d_combine.row_mut(i);
-            d_w[i] = xmoe_tensor::dot_and_scale(dc, y_row, w);
-        }
-
-        let shard = &self.shard;
-        let g_shard = &mut self.g_shard;
-        let d_dispatch = route.exchange_overlap(
+        let (h, f) = (self.hidden, self.ffn);
+        let (offs, counts) = (&ctx.seg_offsets, ctx.route.tokens_per_local_expert());
+        let (shard, g_shard) = (&self.shard, &mut self.g_shard);
+        let d_dispatch = ctx.route.exchange(
             &d_combine,
             chunks,
-            ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a"),
+            BACKWARD_STAGES,
             ep,
             clock,
-            |_c, plan, chunk_dy, _clock| {
-                let (e0, e1) = plan.experts;
-                let mut d_chunk = Tensor::zeros(chunk_dy.rows(), hidden);
-                let mut row = 0usize;
-                for e in e0..e1 {
-                    let (start, end) = (ctx.seg_offsets[e], ctx.seg_offsets[e + 1]);
-                    let cnt = end - start;
-                    if cnt > 0 {
-                        let seg_x = ctx.expert_input.slice_rows(start, end);
-                        let seg_pre = ctx.h_pre.slice_rows(start, end);
-                        let seg_act = ctx.h_act.slice_rows(start, end);
-                        let seg_dy = chunk_dy.slice_rows(row, row + cnt);
-                        let dw2 = matmul_transpose_a(&seg_act, &seg_dy);
-                        add_assign(&mut g_shard[e].1, &dw2);
-                        let mut d_h = matmul_transpose_b(&seg_dy, &shard[e].1);
-                        for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(seg_pre.as_slice()) {
-                            *d *= silu_grad(pre);
-                        }
-                        let dw1 = matmul_transpose_a(&seg_x, &d_h);
-                        add_assign(&mut g_shard[e].0, &dw1);
-                        let d_seg = matmul_transpose_b(&d_h, &shard[e].0);
-                        d_chunk.as_mut_slice()[row * hidden..(row + cnt) * hidden]
-                            .copy_from_slice(d_seg.as_slice());
-                    }
-                    row += cnt;
-                }
-                d_chunk
+            |(e0, e1), d_y| {
+                let (r0, r1) = (offs[e0], offs[e1]);
+                let mut d_in = Tensor::zeros(r1 - r0, h);
+                ffn_backward(
+                    &shard[e0..e1],
+                    &mut g_shard[e0..e1],
+                    &counts[e0..e1],
+                    (
+                        &ctx.expert_input.as_slice()[r0 * h..r1 * h],
+                        &ctx.h_pre.as_slice()[r0 * f..r1 * f],
+                        &ctx.h_act.as_slice()[r0 * f..r1 * f],
+                    ),
+                    d_y.as_slice(),
+                    d_in.as_mut_slice(),
+                    &mut ws,
+                );
+                d_in
             },
         )?;
-        scatter_rows_unit(&d_dispatch, &route.pft.token_ids, &mut d_x);
+        scatter_rows_unit(&d_dispatch, &pft.token_ids, &mut d_x);
 
-        // Router backward (local; router is replicated) — identical to the
-        // serial path.
-        let e_count = self.num_experts;
-        let mut d_scores = Tensor::zeros(ctx.x.rows(), e_count);
-        for i in 0..b {
-            let t = route.pft.token_ids[i];
-            let e = route.pft.expert_ids[i];
-            let v = d_scores.get(t, e);
-            d_scores.set(t, e, v + d_w[i]);
+        // Router backward (local; the router is replicated and carries no
+        // aux or z-loss term).
+        RouterBackward {
+            x: &ctx.x,
+            scores: &ctx.scores,
+            pft,
+            lse: &[],
+            d_w: d_w.as_slice(),
+            gate: &self.gate,
+            aux_alpha: 0.0,
+            z_loss_coef: 0.0,
+            loss_scale: 1.0,
         }
-        let mut d_logits = Tensor::zeros(ctx.x.rows(), e_count);
-        for t in 0..ctx.x.rows() {
-            let s_row = ctx.scores.row(t);
-            let ds_row = d_scores.row(t);
-            let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
-            let dl = d_logits.row_mut(t);
-            for j in 0..e_count {
-                dl[j] = s_row[j] * (ds_row[j] - inner);
-            }
-        }
-        let dg = matmul_transpose_a(&ctx.x, &d_logits);
-        add_assign(&mut self.g_gate, &dg);
-        let d_x_gate = matmul_transpose_b(&d_logits, &self.gate);
-        add_assign(&mut d_x, &d_x_gate);
+        .run(&mut self.g_gate, &mut d_x, &mut ws);
         Ok(d_x)
     }
 
@@ -1301,56 +1151,11 @@ impl DistMoeLm {
 mod tests {
     use super::*;
     use xmoe_collectives::SimCluster;
+    use xmoe_tensor::add_assign;
 
     fn tiny_full(seed: u64) -> TrainableMoe {
         // 8 experts over H=8, F=6, top-2, ample capacity.
         TrainableMoe::new(8, 6, 8, 2, 100_000, DropPolicy::CapacityOnly, seed)
-    }
-
-    #[test]
-    fn overlapped_forward_backward_is_bitwise_identical_to_serial() {
-        let full = tiny_full(77);
-        let world = 4;
-        for chunks in [1usize, 2] {
-            let results = SimCluster::frontier(world).run(|ctx| {
-                let x = Tensor::rand_uniform(12, 8, 1.0, 810 + ctx.rank as u64);
-                let d_out = Tensor::rand_uniform(12, 8, 1.0, 910 + ctx.rank as u64);
-
-                let mut serial = DistMoe::from_trainable(&full, ctx.rank, world);
-                let (out_s, ctx_s) = serial.forward(&x, &ctx.world, &mut ctx.clock).unwrap();
-                let dx_s = serial
-                    .backward(&ctx_s, &d_out, &ctx.world, &mut ctx.clock)
-                    .unwrap();
-
-                let mut over = DistMoe::from_trainable(&full, ctx.rank, world);
-                let (out_o, ctx_o) = over
-                    .forward_overlap(&x, chunks, &ctx.world, &mut ctx.clock)
-                    .unwrap();
-                let dx_o = over
-                    .backward_overlap(&ctx_o, &d_out, chunks, &ctx.world, &mut ctx.clock)
-                    .unwrap();
-
-                let grads_equal = serial
-                    .g_shard
-                    .iter()
-                    .zip(&over.g_shard)
-                    .all(|((a1, a2), (b1, b2))| a1.allclose(b1, 0.0) && a2.allclose(b2, 0.0))
-                    && serial.g_gate.allclose(&over.g_gate, 0.0);
-                (
-                    out_s.allclose(&out_o, 0.0),
-                    dx_s.allclose(&dx_o, 0.0),
-                    grads_equal,
-                )
-            });
-            for (rank, (out_eq, dx_eq, grads_eq)) in results.iter().enumerate() {
-                assert!(
-                    out_eq,
-                    "chunks {chunks} rank {rank}: forward outputs differ"
-                );
-                assert!(dx_eq, "chunks {chunks} rank {rank}: input grads differ");
-                assert!(grads_eq, "chunks {chunks} rank {rank}: weight grads differ");
-            }
-        }
     }
 
     #[test]

@@ -157,19 +157,19 @@ impl MoeLm {
     /// Forward + backward + update over one batch of sequences (each
     /// `seq_len + 1` tokens). Returns loss and drop statistics.
     pub fn train_step(&mut self, batch: &[Vec<usize>]) -> TrainStats {
-        let (stats, _) = self.forward_backward(batch, true);
+        let stats = self.forward_backward(batch);
         self.apply_update();
         stats
     }
 
     /// Evaluate without updating (used for matched-data loss curves).
     pub fn eval_step(&mut self, batch: &[Vec<usize>]) -> TrainStats {
-        let (stats, _) = self.forward_backward(batch, false);
+        let stats = self.forward_backward(batch);
         self.zero_grads();
         stats
     }
 
-    fn forward_backward(&mut self, batch: &[Vec<usize>], _train: bool) -> (TrainStats, ()) {
+    fn forward_backward(&mut self, batch: &[Vec<usize>]) -> TrainStats {
         // Flatten the batch into one token stream of (input, target) pairs.
         let mut inputs = Vec::new();
         let mut targets = Vec::new();
@@ -193,7 +193,7 @@ impl MoeLm {
             });
             let (x1, mlp_ctx) = block.mlp.forward(&x);
             let (x2, moe_ctx) = block.moe.forward(&x1);
-            dropped += moe_ctx_dropped(&moe_ctx);
+            dropped += moe_ctx.dropped();
             routed_total += inputs.len() * self.cfg.top_k;
             ctxs.push((attn_ctx, mlp_ctx, moe_ctx));
             x = x2;
@@ -213,13 +213,10 @@ impl MoeLm {
         } else {
             dropped as f64 / routed_total as f64
         };
-        (
-            TrainStats {
-                loss,
-                drop_fraction,
-            },
-            (),
-        )
+        TrainStats {
+            loss,
+            drop_fraction,
+        }
     }
 
     fn apply_update(&mut self) {
@@ -267,10 +264,6 @@ impl MoeLm {
             block.moe.zero_grads();
         }
     }
-}
-
-fn moe_ctx_dropped(ctx: &crate::moe_layer::MoeCtx) -> usize {
-    ctx.dropped()
 }
 
 /// Train both drop policies on identical data streams (same corpus seed)

@@ -6,17 +6,21 @@
 //! combine weight `w_i = scores[t, e_i]` carries gradient
 //! `d_w_i = <d_out[t], y_i>` back into the gating softmax, which is the
 //! standard top-k MoE router gradient (dropped assignments receive none).
+//!
+//! The layer math is written once, here: the grouped expert FFN
+//! ([`ffn_forward`], [`ffn_backward`]), the combine backward
+//! ([`combine_backward`]) and the router backward ([`RouterBackward`]).
+//! [`TrainableMoe`] and the expert-parallel [`crate::dist::DistMoe`] both
+//! run these, around core's [`gate_with`].
 
 use xmoe_core::gating::{
-    clamp_logits, row_logsumexp, row_logsumexp_into, z_loss_value, DropPolicy, GatingOutput,
-    RouterGuard,
+    gate_with, z_loss_value, DropPolicy, GateScratch, GatingOutput, RouterGuard,
 };
 use xmoe_core::pft::{Pft, PftScratch};
 use xmoe_tensor::{
-    add_assign, add_assign_slice, gather_rows, gather_rows_into, gemm_grouped,
-    gemm_grouped_transpose_a, gemm_grouped_transpose_b, matmul, matmul_into, matmul_slices,
-    matmul_transpose_a, matmul_transpose_b, matmul_transpose_b_slices, scatter_rows_unit,
-    softmax_rows, topk_rows, topk_rows_into, Tensor, Workspace,
+    add_assign, add_assign_slice, dot_and_scale, gather_rows_into, gemm_grouped,
+    gemm_grouped_transpose_a, gemm_grouped_transpose_b, matmul_transpose_a_slices,
+    matmul_transpose_b_slices, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace,
 };
 
 /// A trainable MoE layer (all experts local — the loss-validation
@@ -55,8 +59,6 @@ pub struct MoeCtx {
     h_pre: Tensor,
     h_act: Tensor,
     y: Tensor,
-    /// Row ranges per expert within the dispatch buffers.
-    seg_offsets: Vec<usize>,
     /// Per-token router z = logsumexp(logits); populated only when the
     /// z-loss guard is active.
     lse: Vec<f32>,
@@ -68,11 +70,6 @@ impl MoeCtx {
     /// Routed assignments dropped during this forward.
     pub fn dropped(&self) -> usize {
         self.pft.dropped
-    }
-
-    /// Retained routed assignments.
-    pub fn routed(&self) -> usize {
-        self.pft.len()
     }
 
     /// Per-expert retained token counts of this forward.
@@ -87,11 +84,12 @@ impl MoeCtx {
     }
 }
 
-/// Reusable scratch for the pooled training step: the workspace arena plus
-/// every persistent staging buffer [`TrainableMoe::forward_pooled`] and
-/// [`TrainableMoe::backward_scaled_pooled`] need. One instance per layer
-/// per rank; after warm-up every lease is served from warm memory and a
-/// steady-state step performs no transient heap allocation.
+/// Reusable scratch for the training step: the workspace arena, the saved
+/// forward state, and the gating/PFT staging buffers. One instance per
+/// layer per rank keeps a steady-state step free of transient heap
+/// allocation; [`TrainableMoe::forward`] runs the same body on a
+/// throwaway instance, and [`TrainableMoe::backward`] on a throwaway
+/// arena.
 #[derive(Default)]
 pub struct MoeTrainScratch {
     /// Arena leasing step-lifetime tensors. The tensors the pooled methods
@@ -100,13 +98,9 @@ pub struct MoeTrainScratch {
     pub ws: Workspace,
     /// Saved forward state, rebuilt in place each step.
     pub ctx: MoeCtx,
-    logits: Tensor,
-    order: Vec<usize>,
+    gate_scratch: GateScratch,
     gating: GatingOutput,
     pft_scratch: PftScratch,
-    d_w: Vec<f32>,
-    aux_f: Vec<f32>,
-    xt: Tensor,
 }
 
 fn sigmoid(x: f32) -> f32 {
@@ -116,6 +110,220 @@ fn sigmoid(x: f32) -> f32 {
 fn silu_grad(x: f32) -> f32 {
     let s = sigmoid(x);
     s * (1.0 + x * (1.0 - s))
+}
+
+/// Grouped expert FFN forward over expert-major segments: for each expert
+/// `e` with `counts[e]` rows of `x`, `h_pre = x W1_e`, `h_act =
+/// silu(h_pre)`, `y = h_act W2_e`. `h_pre`, `h_act` (`[rows, F]`) and `y`
+/// (`[rows, H]`) must arrive zero-filled — the grouped GEMM accumulates —
+/// and results are bitwise identical to a per-expert `matmul` loop.
+pub(crate) fn ffn_forward(
+    experts: &[(Tensor, Tensor)],
+    counts: &[usize],
+    x: &[f32],
+    h_pre: &mut [f32],
+    h_act: &mut [f32],
+    y: &mut [f32],
+) {
+    let Some((w1, _)) = experts.first() else {
+        return;
+    };
+    let (h, f) = w1.shape();
+    gemm_grouped(x, counts, h, |e| experts[e].0.as_slice(), f, h_pre);
+    // Every row belongs to exactly one segment, so whole-buffer
+    // elementwise passes equal per-segment ones.
+    h_act.copy_from_slice(h_pre);
+    for v in h_act.iter_mut() {
+        *v *= sigmoid(*v);
+    }
+    gemm_grouped(h_act, counts, f, |e| experts[e].1.as_slice(), h, y);
+}
+
+/// Backward of [`ffn_forward`]: given the saved `(x, h_pre, h_act)` and
+/// the output gradient `d_y`, accumulates each expert's weight gradients
+/// into `grads` and overwrites `d_x` (`[rows, H]`) with the input
+/// gradient. No transpose is materialised: the grouped transpose-A kernel
+/// reproduces `matmul(seg.transpose(), dy)`'s accumulation order.
+pub(crate) fn ffn_backward(
+    experts: &[(Tensor, Tensor)],
+    grads: &mut [(Tensor, Tensor)],
+    counts: &[usize],
+    (x, h_pre, h_act): (&[f32], &[f32], &[f32]),
+    d_y: &[f32],
+    d_x: &mut [f32],
+    ws: &mut Workspace,
+) {
+    let Some((w1, _)) = experts.first() else {
+        return;
+    };
+    let (h, f) = w1.shape();
+    let (rows, e_count) = (counts.iter().sum(), counts.len());
+    // dW2_e = act_e^T dy_e.
+    let mut dw = ws.take(e_count * f, h);
+    gemm_grouped_transpose_a(h_act, counts, f, d_y, h, dw.as_mut_slice());
+    add_expert_grads(grads.iter_mut().map(|g| &mut g.1), &dw, f * h, counts);
+    ws.recycle(dw);
+    // d_act = dy W2^T; through SiLU.
+    let mut d_h = ws.take(rows, f);
+    gemm_grouped_transpose_b(
+        d_y,
+        counts,
+        h,
+        |e| experts[e].1.as_slice(),
+        f,
+        d_h.as_mut_slice(),
+    );
+    for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(h_pre) {
+        *d *= silu_grad(pre);
+    }
+    // dW1_e = x_e^T d_h_e.
+    let mut dw = ws.take(e_count * h, f);
+    gemm_grouped_transpose_a(x, counts, h, d_h.as_slice(), f, dw.as_mut_slice());
+    add_expert_grads(grads.iter_mut().map(|g| &mut g.0), &dw, h * f, counts);
+    ws.recycle(dw);
+    // d_x = d_h W1^T.
+    gemm_grouped_transpose_b(
+        d_h.as_slice(),
+        counts,
+        f,
+        |e| experts[e].0.as_slice(),
+        h,
+        d_x,
+    );
+    ws.recycle(d_h);
+}
+
+/// Add each expert's `block`-element slice of the staged weight gradient
+/// `dw` (one block per expert, stacked row-wise) to its accumulator in
+/// `acc`, skipping experts that received no tokens. Staging into a
+/// zero-filled lease and adding once keeps the float sums in the
+/// per-expert GEMM's order; accumulating straight into the gradient would
+/// reassociate them.
+fn add_expert_grads<'a>(
+    acc: impl Iterator<Item = &'a mut Tensor>,
+    dw: &Tensor,
+    block: usize,
+    counts: &[usize],
+) {
+    for ((g, &cnt), staged) in acc.zip(counts).zip(dw.as_slice().chunks(block)) {
+        if cnt > 0 {
+            add_assign_slice(g.as_mut_slice(), staged);
+        }
+    }
+}
+
+/// Combine backward: for every PFT row `i`, `d_y[i] = w_i * d_out[t_i]`
+/// and `d_w[i] = <d_out[t_i], y[i]>`, where `y` holds the expert outputs
+/// in PFT order. Returns `(d_y, d_w)` leased from `ws`, `d_w` as a
+/// `[rows, 1]` column.
+pub(crate) fn combine_backward(
+    d_out: &Tensor,
+    pft: &Pft,
+    y: &Tensor,
+    ws: &mut Workspace,
+) -> (Tensor, Tensor) {
+    let mut d_y = ws.take(0, 0);
+    gather_rows_into(d_out, &pft.token_ids, &mut d_y);
+    let mut d_w = ws.take(pft.len(), 1);
+    for (i, dw) in d_w.as_mut_slice().iter_mut().enumerate() {
+        *dw = dot_and_scale(d_y.row_mut(i), y.row(i), pft.combine_weights[i]);
+    }
+    (d_y, d_w)
+}
+
+/// Inputs of the router backward: the saved forward (`x`, the softmax
+/// `scores`, the PFT and the z statistics), the combine-weight gradients
+/// from [`combine_backward`], and the router's loss terms.
+pub(crate) struct RouterBackward<'a> {
+    pub x: &'a Tensor,
+    pub scores: &'a Tensor,
+    pub pft: &'a Pft,
+    /// Per-token logsumexp of the logits (read only when the z-loss is on).
+    pub lse: &'a [f32],
+    pub d_w: &'a [f32],
+    pub gate: &'a Tensor,
+    pub aux_alpha: f32,
+    pub z_loss_coef: f32,
+    /// Scale the caller's `d_out` carries; the locally generated aux and
+    /// z-loss gradients are multiplied by it too.
+    pub loss_scale: f32,
+}
+
+impl RouterBackward<'_> {
+    /// Scatter `d_w` into `d_scores` at the retained `(t, e)` entries, add
+    /// the aux load-balancing term, back through the softmax, add the z
+    /// term, then accumulate `dG = x^T d_logits` into `g_gate` and add
+    /// `d_logits G^T` into `d_x`.
+    pub(crate) fn run(&self, g_gate: &mut Tensor, d_x: &mut Tensor, ws: &mut Workspace) {
+        let (s_rows, h) = self.x.shape();
+        let e_count = self.scores.cols();
+        let mut d_scores = ws.take(s_rows, e_count);
+        for (i, &dw) in self.d_w.iter().enumerate() {
+            let (t, e) = (self.pft.token_ids[i], self.pft.expert_ids[i]);
+            let v = d_scores.get(t, e);
+            d_scores.set(t, e, v + dw);
+        }
+        // Auxiliary load-balancing loss: dL/dscores[t, e] = alpha*E*f_e/S.
+        if self.aux_alpha != 0.0 {
+            let total: usize = self.pft.tokens_per_expert.iter().sum();
+            let denom = total.max(1) as f32;
+            let s_inv = 1.0 / s_rows.max(1) as f32;
+            let coef = self.aux_alpha * e_count as f32 * s_inv * self.loss_scale;
+            for t in 0..s_rows {
+                let row = d_scores.row_mut(t);
+                for (v, &c) in row.iter_mut().zip(&self.pft.tokens_per_expert) {
+                    *v += coef * (c as f32 / denom);
+                }
+            }
+        }
+        let mut d_logits = ws.take(s_rows, e_count);
+        for t in 0..s_rows {
+            let s_row = self.scores.row(t);
+            let ds_row = d_scores.row(t);
+            let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
+            let dl_row = d_logits.row_mut(t);
+            for j in 0..e_count {
+                dl_row[j] = s_row[j] * (ds_row[j] - inner);
+            }
+        }
+        // z-loss gradient goes straight onto the logits (z is a direct
+        // function of them): dL_z/dl[t,j] = coef * (2/S) * z_t * scores[t,j].
+        if self.z_loss_coef != 0.0 {
+            let coef = self.z_loss_coef * 2.0 * self.loss_scale / s_rows.max(1) as f32;
+            for t in 0..s_rows {
+                let z = self.lse[t];
+                let s_row = self.scores.row(t);
+                let dl_row = d_logits.row_mut(t);
+                for j in 0..e_count {
+                    dl_row[j] += coef * z * s_row[j];
+                }
+            }
+        }
+        // dG = x^T d_logits, into a lease.
+        let mut dg = ws.take(h, e_count);
+        matmul_transpose_a_slices(
+            self.x.as_slice(),
+            s_rows,
+            h,
+            d_logits.as_slice(),
+            e_count,
+            dg.as_mut_slice(),
+        );
+        add_assign(g_gate, &dg);
+        let mut d_x_gate = ws.take(s_rows, h);
+        matmul_transpose_b_slices(
+            d_logits.as_slice(),
+            s_rows,
+            e_count,
+            self.gate.as_slice(),
+            h,
+            d_x_gate.as_mut_slice(),
+        );
+        add_assign(d_x, &d_x_gate);
+        for t in [d_scores, d_logits, dg, d_x_gate] {
+            ws.recycle(t);
+        }
+    }
 }
 
 impl TrainableMoe {
@@ -171,17 +379,6 @@ impl TrainableMoe {
         self
     }
 
-    /// Per-expert assignment fractions `f_e` of the last forward.
-    fn load_fractions(ctx: &MoeCtx) -> Vec<f32> {
-        let total: usize = ctx.pft.tokens_per_expert.iter().sum();
-        let denom = total.max(1) as f32;
-        ctx.pft
-            .tokens_per_expert
-            .iter()
-            .map(|&c| c as f32 / denom)
-            .collect()
-    }
-
     /// Value of the auxiliary loss for a saved forward context.
     pub fn aux_loss(&self, ctx: &MoeCtx) -> f64 {
         if self.aux_alpha == 0.0 {
@@ -189,15 +386,16 @@ impl TrainableMoe {
         }
         let e_count = self.num_experts();
         let s = ctx.x.rows().max(1);
-        let f = Self::load_fractions(ctx);
+        let total: usize = ctx.pft.tokens_per_expert.iter().sum();
+        let denom = total.max(1) as f32;
         let mut acc = 0.0f64;
-        for e in 0..e_count {
+        for (e, &c) in ctx.pft.tokens_per_expert.iter().enumerate() {
             let mut p_mean = 0.0f64;
             for t in 0..ctx.x.rows() {
                 p_mean += ctx.scores.get(t, e) as f64;
             }
             p_mean /= s as f64;
-            acc += f[e] as f64 * p_mean;
+            acc += (c as f32 / denom) as f64 * p_mean;
         }
         self.aux_alpha as f64 * e_count as f64 * acc
     }
@@ -226,87 +424,11 @@ impl TrainableMoe {
     }
 
     /// Forward: `out = x + combine(experts(dispatch(x)))`.
+    /// [`Self::forward_pooled`] on a throwaway scratch.
     pub fn forward(&self, x: &Tensor) -> (Tensor, MoeCtx) {
-        let mut logits = matmul(x, &self.gate);
-        let logits_clamped = clamp_logits(&mut logits, self.router_guard.logit_clamp);
-        let lse = if self.router_guard.z_loss_coef != 0.0 {
-            row_logsumexp(&logits)
-        } else {
-            Vec::new()
-        };
-        let mut scores = logits.clone();
-        softmax_rows(&mut scores);
-        let (top_experts, combine_weights) = topk_rows(&scores, self.top_k);
-        let top_logits = top_experts
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| logits.get(i / self.top_k, e))
-            .collect();
-        let gating = GatingOutput {
-            top_experts,
-            combine_weights,
-            top_logits,
-            k: self.top_k,
-            scores: scores.clone(),
-        };
-        let pft = Pft::construct(&gating, self.num_experts(), self.capacity, self.policy);
-
-        let dispatch_in = gather_rows(x, &pft.token_ids);
-        let b = pft.len();
-        let f = self.experts[0].0.cols();
-        let h = x.cols();
-        let mut h_pre = Tensor::zeros(b, f);
-        let mut h_act = Tensor::zeros(b, f);
-        let mut y = Tensor::zeros(b, h);
-        // Grouped expert FFN: all segments in two pooled GEMM batches
-        // (bitwise identical to the former per-expert matmul loop — see
-        // xmoe_tensor::par). Every dispatch row belongs to exactly one
-        // segment, so whole-buffer elementwise passes equal per-segment ones.
-        gemm_grouped(
-            dispatch_in.as_slice(),
-            &pft.tokens_per_expert,
-            h,
-            |e| self.experts[e].0.as_slice(),
-            f,
-            h_pre.as_mut_slice(),
-        );
-        h_act.as_mut_slice().copy_from_slice(h_pre.as_slice());
-        for v in h_act.as_mut_slice() {
-            *v *= sigmoid(*v);
-        }
-        gemm_grouped(
-            h_act.as_slice(),
-            &pft.tokens_per_expert,
-            f,
-            |e| self.experts[e].1.as_slice(),
-            h,
-            y.as_mut_slice(),
-        );
-        let mut seg_offsets = Vec::with_capacity(self.num_experts() + 1);
-        seg_offsets.push(0);
-        let mut row = 0usize;
-        for &cnt in &pft.tokens_per_expert {
-            row += cnt;
-            seg_offsets.push(row);
-        }
-
-        let mut out = x.clone();
-        xmoe_tensor::scatter_rows_scaled(&y, &pft.token_ids, &pft.combine_weights, &mut out);
-        (
-            out,
-            MoeCtx {
-                x: x.clone(),
-                scores,
-                pft,
-                dispatch_in,
-                h_pre,
-                h_act,
-                y,
-                seg_offsets,
-                lse,
-                logits_clamped,
-            },
-        )
+        let mut st = MoeTrainScratch::default();
+        let out = self.forward_pooled(x, &mut st);
+        (out, st.ctx)
     }
 
     /// Backward: accumulates `g_gate` / `g_experts`, returns `d_x`.
@@ -321,437 +443,127 @@ impl TrainableMoe {
     /// scale, and unscaling restores the exact unscaled mix. Power-of-two
     /// scales keep this bitwise-invertible.
     pub fn backward_scaled(&mut self, ctx: &MoeCtx, d_out: &Tensor, loss_scale: f32) -> Tensor {
-        let h = ctx.x.cols();
-        let b = ctx.pft.len();
-        let mut d_x = d_out.clone(); // residual path
-
-        // d_y[i] = w_i * d_out[t_i]; d_w_i = <d_out[t_i], y[i]>.
-        let mut d_y = gather_rows(d_out, &ctx.pft.token_ids);
-        let mut d_w = vec![0.0f32; b];
-        for i in 0..b {
-            let w = ctx.pft.combine_weights[i];
-            let y_row = ctx.y.row(i);
-            let dy_row = d_y.row_mut(i);
-            d_w[i] = xmoe_tensor::dot_and_scale(dy_row, y_row, w);
-        }
-
-        // Grouped FFN backward over all expert segments at once: three
-        // grouped GEMM batches plus the SiLU elementwise pass, bitwise
-        // identical to the former sequential per-expert loop (the
-        // transpose-A kernel reproduces `matmul(seg.transpose(), dy)`'s
-        // accumulation order without materialising the transpose). Weight
-        // gradients stage into per-expert blocks of `dw*_all`, then
-        // accumulate into `g_experts` expert by expert — `add_assign_slice`
-        // is bitwise identical to the scalar add the old loop used.
-        let counts = &ctx.pft.tokens_per_expert;
-        let f = self.experts[0].0.cols();
-        let e_count = self.num_experts();
-        // dW2_e = act_e^T dy_e.
-        let mut dw2_all = Tensor::zeros(e_count * f, h);
-        gemm_grouped_transpose_a(
-            ctx.h_act.as_slice(),
-            counts,
-            f,
-            d_y.as_slice(),
-            h,
-            dw2_all.as_mut_slice(),
-        );
-        // d_act = dy W2^T; through SiLU.
-        let mut d_h = Tensor::zeros(b, f);
-        gemm_grouped_transpose_b(
-            d_y.as_slice(),
-            counts,
-            h,
-            |e| self.experts[e].1.as_slice(),
-            f,
-            d_h.as_mut_slice(),
-        );
-        for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(ctx.h_pre.as_slice()) {
-            *d *= silu_grad(pre);
-        }
-        // dW1_e = x_e^T d_h_e.
-        let mut dw1_all = Tensor::zeros(e_count * h, f);
-        gemm_grouped_transpose_a(
-            ctx.dispatch_in.as_slice(),
-            counts,
-            h,
-            d_h.as_slice(),
-            f,
-            dw1_all.as_mut_slice(),
-        );
-        // d_seg = d_h W1^T.
-        let mut d_dispatch = Tensor::zeros(b, h);
-        gemm_grouped_transpose_b(
-            d_h.as_slice(),
-            counts,
-            f,
-            |e| self.experts[e].0.as_slice(),
-            h,
-            d_dispatch.as_mut_slice(),
-        );
-        for (e, &cnt) in counts.iter().enumerate() {
-            if cnt == 0 {
-                continue;
-            }
-            add_assign_slice(
-                self.g_experts[e].1.as_mut_slice(),
-                &dw2_all.as_slice()[e * f * h..(e + 1) * f * h],
-            );
-            add_assign_slice(
-                self.g_experts[e].0.as_mut_slice(),
-                &dw1_all.as_slice()[e * h * f..(e + 1) * h * f],
-            );
-        }
-        // Scatter dispatch grads back to token positions (gather transpose).
-        scatter_rows_unit(&d_dispatch, &ctx.pft.token_ids, &mut d_x);
-
-        // Router backward: d_scores at retained (t, e) entries, then softmax.
-        let e_count = self.num_experts();
-        let mut d_scores = Tensor::zeros(ctx.x.rows(), e_count);
-        for i in 0..b {
-            let t = ctx.pft.token_ids[i];
-            let e = ctx.pft.expert_ids[i];
-            let v = d_scores.get(t, e);
-            d_scores.set(t, e, v + d_w[i]);
-        }
-        // Auxiliary load-balancing loss: dL/dscores[t, e] = alpha*E*f_e/S,
-        // multiplied by the loss scale so it matches the main-loss term.
-        if self.aux_alpha != 0.0 {
-            let f = Self::load_fractions(ctx);
-            let s_inv = 1.0 / ctx.x.rows().max(1) as f32;
-            let coef = self.aux_alpha * e_count as f32 * s_inv * loss_scale;
-            for t in 0..ctx.x.rows() {
-                let row = d_scores.row_mut(t);
-                for e in 0..e_count {
-                    row[e] += coef * f[e];
-                }
-            }
-        }
-        let mut d_logits = Tensor::zeros(ctx.x.rows(), e_count);
-        for t in 0..ctx.x.rows() {
-            let s_row = ctx.scores.row(t);
-            let ds_row = d_scores.row(t);
-            let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
-            let dl_row = d_logits.row_mut(t);
-            for j in 0..e_count {
-                dl_row[j] = s_row[j] * (ds_row[j] - inner);
-            }
-        }
-        // z-loss gradient goes straight onto the logits (z is a direct
-        // function of them): dL_z/dl[t,j] = coef * (2/S) * z_t * scores[t,j],
-        // again carrying the loss scale of the main term.
-        if self.router_guard.z_loss_coef != 0.0 {
-            let coef =
-                self.router_guard.z_loss_coef * 2.0 * loss_scale / ctx.x.rows().max(1) as f32;
-            for t in 0..ctx.x.rows() {
-                let z = ctx.lse[t];
-                let s_row = ctx.scores.row(t);
-                let dl_row = d_logits.row_mut(t);
-                for j in 0..e_count {
-                    dl_row[j] += coef * z * s_row[j];
-                }
-            }
-        }
-        let dg = matmul_transpose_a(&ctx.x, &d_logits);
-        add_assign(&mut self.g_gate, &dg);
-        let d_x_gate = matmul_transpose_b(&d_logits, &self.gate);
-        add_assign(&mut d_x, &d_x_gate);
-        d_x
+        self.backward_in(ctx, &mut Workspace::new(), d_out, loss_scale)
     }
 
-    /// [`Self::forward`] with every step-lifetime buffer reused from `st`.
-    /// Bitwise identical to the owned path (same kernels over the same
-    /// slices, zero-filled lease targets). The saved forward state lands in
-    /// `st.ctx`; the returned output is leased from `st.ws` — recycle it
-    /// once consumed.
+    /// The layer forward — gating → PFT → gather → grouped expert FFN →
+    /// weighted scatter — with every step-lifetime buffer reused from `st`.
+    /// The saved forward state lands in `st.ctx`; the returned output is
+    /// leased from `st.ws` — recycle it once consumed.
     pub fn forward_pooled(&self, x: &Tensor, st: &mut MoeTrainScratch) -> Tensor {
-        let e_count = self.num_experts();
-        let h = x.cols();
-        st.logits.resize(x.rows(), e_count);
-        matmul_into(x, &self.gate, &mut st.logits);
-        st.ctx.logits_clamped = clamp_logits(&mut st.logits, self.router_guard.logit_clamp);
-        if self.router_guard.z_loss_coef != 0.0 {
-            row_logsumexp_into(&st.logits, &mut st.ctx.lse);
-        } else {
-            st.ctx.lse.clear();
-        }
-        st.ctx.scores.resize(x.rows(), e_count);
-        st.ctx
-            .scores
-            .as_mut_slice()
-            .copy_from_slice(st.logits.as_slice());
-        softmax_rows(&mut st.ctx.scores);
-        topk_rows_into(
-            &st.ctx.scores,
+        let ctx = &mut st.ctx;
+        let guard = self.router_guard;
+        ctx.lse.clear();
+        ctx.logits_clamped = gate_with(
+            x,
+            &self.gate,
             self.top_k,
-            &mut st.gating.top_experts,
-            &mut st.gating.combine_weights,
-            &mut st.order,
+            guard.logit_clamp,
+            (guard.z_loss_coef != 0.0).then_some(&mut ctx.lse),
+            &mut st.gate_scratch,
+            &mut st.gating,
         );
-        let logits = &st.logits;
-        let k = self.top_k;
-        st.gating.top_logits.clear();
-        st.gating.top_logits.extend(
-            st.gating
-                .top_experts
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| logits.get(i / k, e)),
-        );
-        st.gating.k = k;
-        st.gating.scores.resize(x.rows(), e_count);
-        st.gating
-            .scores
-            .as_mut_slice()
-            .copy_from_slice(st.ctx.scores.as_slice());
         Pft::construct_into(
             &st.gating,
-            e_count,
+            self.num_experts(),
             self.capacity,
             self.policy,
             &mut st.pft_scratch,
-            &mut st.ctx.pft,
+            &mut ctx.pft,
+        );
+        // The backward needs the scores; the next gating call refills the
+        // swapped-out buffer, so this saves them without a copy.
+        std::mem::swap(&mut ctx.scores, &mut st.gating.scores);
+
+        gather_rows_into(x, &ctx.pft.token_ids, &mut ctx.dispatch_in);
+        let (b, h, f) = (ctx.pft.len(), x.cols(), self.experts[0].0.cols());
+        ctx.h_pre.resize(b, f);
+        ctx.h_act.resize(b, f);
+        ctx.y.resize(b, h);
+        ffn_forward(
+            &self.experts,
+            &ctx.pft.tokens_per_expert,
+            ctx.dispatch_in.as_slice(),
+            ctx.h_pre.as_mut_slice(),
+            ctx.h_act.as_mut_slice(),
+            ctx.y.as_mut_slice(),
         );
 
-        gather_rows_into(x, &st.ctx.pft.token_ids, &mut st.ctx.dispatch_in);
-        let b = st.ctx.pft.len();
-        let f = self.experts[0].0.cols();
-        st.ctx.h_pre.resize(b, f);
-        st.ctx.h_act.resize(b, f);
-        st.ctx.y.resize(b, h);
-        // Grouped expert FFN on the resized (zero-filled) staging buffers —
-        // the accumulating grouped GEMM equals the owned path's fresh
-        // matmuls bitwise.
-        gemm_grouped(
-            st.ctx.dispatch_in.as_slice(),
-            &st.ctx.pft.tokens_per_expert,
-            h,
-            |e| self.experts[e].0.as_slice(),
-            f,
-            st.ctx.h_pre.as_mut_slice(),
-        );
-        st.ctx
-            .h_act
-            .as_mut_slice()
-            .copy_from_slice(st.ctx.h_pre.as_slice());
-        for v in st.ctx.h_act.as_mut_slice() {
-            *v *= sigmoid(*v);
-        }
-        gemm_grouped(
-            st.ctx.h_act.as_slice(),
-            &st.ctx.pft.tokens_per_expert,
-            f,
-            |e| self.experts[e].1.as_slice(),
-            h,
-            st.ctx.y.as_mut_slice(),
-        );
-        st.ctx.seg_offsets.clear();
-        st.ctx.seg_offsets.push(0);
-        let mut row = 0usize;
-        for &cnt in &st.ctx.pft.tokens_per_expert {
-            row += cnt;
-            st.ctx.seg_offsets.push(row);
-        }
-
-        st.ctx.x.resize(x.rows(), h);
-        st.ctx.x.as_mut_slice().copy_from_slice(x.as_slice());
+        ctx.x.resize(x.rows(), h);
+        ctx.x.as_mut_slice().copy_from_slice(x.as_slice());
         let mut out = st.ws.take(x.rows(), h);
         out.as_mut_slice().copy_from_slice(x.as_slice());
-        xmoe_tensor::scatter_rows_scaled(
-            &st.ctx.y,
-            &st.ctx.pft.token_ids,
-            &st.ctx.pft.combine_weights,
+        scatter_rows_scaled(
+            &ctx.y,
+            &ctx.pft.token_ids,
+            &ctx.pft.combine_weights,
             &mut out,
         );
         out
     }
 
-    /// Pooled [`Self::backward`]: consumes the forward state saved in
-    /// `st.ctx` by [`Self::forward_pooled`].
+    /// [`Self::backward`] of the forward state saved in `st.ctx` by
+    /// [`Self::forward_pooled`].
     pub fn backward_pooled(&mut self, st: &mut MoeTrainScratch, d_out: &Tensor) -> Tensor {
         self.backward_scaled_pooled(st, d_out, 1.0)
     }
 
-    /// Pooled [`Self::backward_scaled`], bitwise identical to it. Gradient
-    /// accumulation stages every GEMM into a zero-filled leased temp and
-    /// `add_assign`s it (accumulating directly into `g_*` would reassociate
-    /// the float sums). The returned input gradient is leased from `st.ws`.
+    /// [`Self::backward_scaled`] of the forward state saved in `st.ctx`,
+    /// leasing from `st.ws`. The returned input gradient is leased from
+    /// `st.ws` too.
     pub fn backward_scaled_pooled(
         &mut self,
         st: &mut MoeTrainScratch,
         d_out: &Tensor,
         loss_scale: f32,
     ) -> Tensor {
-        let h = st.ctx.x.cols();
-        let b = st.ctx.pft.len();
-        let mut d_x = st.ws.take(d_out.rows(), d_out.cols());
+        self.backward_in(&st.ctx, &mut st.ws, d_out, loss_scale)
+    }
+
+    /// The layer backward: combine backward, grouped expert FFN backward,
+    /// scatter of the dispatch gradient, router backward. Every temporary
+    /// and the returned `d_x` are leased from `ws`.
+    fn backward_in(
+        &mut self,
+        ctx: &MoeCtx,
+        ws: &mut Workspace,
+        d_out: &Tensor,
+        loss_scale: f32,
+    ) -> Tensor {
+        let mut d_x = ws.take(d_out.rows(), d_out.cols());
         d_x.as_mut_slice().copy_from_slice(d_out.as_slice()); // residual path
-
-        // d_y[i] = w_i * d_out[t_i]; d_w_i = <d_out[t_i], y[i]>.
-        let mut d_y = st.ws.take(0, 0);
-        gather_rows_into(d_out, &st.ctx.pft.token_ids, &mut d_y);
-        st.d_w.clear();
-        st.d_w.resize(b, 0.0);
-        for i in 0..b {
-            let w = st.ctx.pft.combine_weights[i];
-            let y_row = st.ctx.y.row(i);
-            let dy_row = d_y.row_mut(i);
-            st.d_w[i] = xmoe_tensor::dot_and_scale(dy_row, y_row, w);
-        }
-
-        // Grouped FFN backward — the pooled twin of the owned path, with the
-        // staging buffers leased from the workspace arena. No transpose is
-        // ever materialised (the grouped transpose-A kernel reads A
-        // column-wise in the exact accumulation order of the old
-        // transpose-then-matmul), which also retires the former `t_seg`
-        // per-segment transpose scratch.
-        let f = self.experts[0].0.cols();
-        let e_count = self.num_experts();
-        // Disjoint field borrows: segment table from the saved context,
-        // leases from the arena.
-        let (ws, ctx) = (&mut st.ws, &st.ctx);
-        let counts = &ctx.pft.tokens_per_expert;
-        // dW2_e = act_e^T dy_e.
-        let mut dw2_all = ws.take(e_count * f, h);
-        gemm_grouped_transpose_a(
-            ctx.h_act.as_slice(),
-            counts,
-            f,
+        let (d_y, d_w) = combine_backward(d_out, &ctx.pft, &ctx.y, ws);
+        let mut d_dispatch = ws.take(ctx.pft.len(), d_out.cols());
+        ffn_backward(
+            &self.experts,
+            &mut self.g_experts,
+            &ctx.pft.tokens_per_expert,
+            (
+                ctx.dispatch_in.as_slice(),
+                ctx.h_pre.as_slice(),
+                ctx.h_act.as_slice(),
+            ),
             d_y.as_slice(),
-            h,
-            dw2_all.as_mut_slice(),
-        );
-        // d_act = dy W2^T; through SiLU.
-        let mut d_h = ws.take(b, f);
-        gemm_grouped_transpose_b(
-            d_y.as_slice(),
-            counts,
-            h,
-            |e| self.experts[e].1.as_slice(),
-            f,
-            d_h.as_mut_slice(),
-        );
-        for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(ctx.h_pre.as_slice()) {
-            *d *= silu_grad(pre);
-        }
-        // dW1_e = x_e^T d_h_e.
-        let mut dw1_all = ws.take(e_count * h, f);
-        gemm_grouped_transpose_a(
-            ctx.dispatch_in.as_slice(),
-            counts,
-            h,
-            d_h.as_slice(),
-            f,
-            dw1_all.as_mut_slice(),
-        );
-        // d_seg = d_h W1^T, written straight into the dispatch-grad buffer
-        // (the kernel overwrites, so this equals the owned path).
-        let mut d_dispatch = ws.take(b, h);
-        gemm_grouped_transpose_b(
-            d_h.as_slice(),
-            counts,
-            f,
-            |e| self.experts[e].0.as_slice(),
-            h,
             d_dispatch.as_mut_slice(),
+            ws,
         );
-        ws.recycle(d_h);
-        for (e, &cnt) in counts.iter().enumerate() {
-            if cnt == 0 {
-                continue;
-            }
-            add_assign_slice(
-                self.g_experts[e].1.as_mut_slice(),
-                &dw2_all.as_slice()[e * f * h..(e + 1) * f * h],
-            );
-            add_assign_slice(
-                self.g_experts[e].0.as_mut_slice(),
-                &dw1_all.as_slice()[e * h * f..(e + 1) * h * f],
-            );
-        }
-        ws.recycle(dw2_all);
-        ws.recycle(dw1_all);
-        ws.recycle(d_y);
         // Scatter dispatch grads back to token positions (gather transpose).
-        scatter_rows_unit(&d_dispatch, &st.ctx.pft.token_ids, &mut d_x);
-        st.ws.recycle(d_dispatch);
-
-        // Router backward: d_scores at retained (t, e) entries, then softmax.
-        let e_count = self.num_experts();
-        let s_rows = st.ctx.x.rows();
-        let mut d_scores = st.ws.take(s_rows, e_count);
-        for i in 0..b {
-            let t = st.ctx.pft.token_ids[i];
-            let e = st.ctx.pft.expert_ids[i];
-            let v = d_scores.get(t, e);
-            d_scores.set(t, e, v + st.d_w[i]);
+        scatter_rows_unit(&d_dispatch, &ctx.pft.token_ids, &mut d_x);
+        RouterBackward {
+            x: &ctx.x,
+            scores: &ctx.scores,
+            pft: &ctx.pft,
+            lse: &ctx.lse,
+            d_w: d_w.as_slice(),
+            gate: &self.gate,
+            aux_alpha: self.aux_alpha,
+            z_loss_coef: self.router_guard.z_loss_coef,
+            loss_scale,
         }
-        if self.aux_alpha != 0.0 {
-            let total: usize = st.ctx.pft.tokens_per_expert.iter().sum();
-            let denom = total.max(1) as f32;
-            st.aux_f.clear();
-            st.aux_f.extend(
-                st.ctx
-                    .pft
-                    .tokens_per_expert
-                    .iter()
-                    .map(|&c| c as f32 / denom),
-            );
-            let s_inv = 1.0 / s_rows.max(1) as f32;
-            let coef = self.aux_alpha * e_count as f32 * s_inv * loss_scale;
-            for t in 0..s_rows {
-                let row = d_scores.row_mut(t);
-                for e in 0..e_count {
-                    row[e] += coef * st.aux_f[e];
-                }
-            }
+        .run(&mut self.g_gate, &mut d_x, ws);
+        for t in [d_y, d_w, d_dispatch] {
+            ws.recycle(t);
         }
-        let mut d_logits = st.ws.take(s_rows, e_count);
-        for t in 0..s_rows {
-            let s_row = st.ctx.scores.row(t);
-            let ds_row = d_scores.row(t);
-            let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
-            let dl_row = d_logits.row_mut(t);
-            for j in 0..e_count {
-                dl_row[j] = s_row[j] * (ds_row[j] - inner);
-            }
-        }
-        if self.router_guard.z_loss_coef != 0.0 {
-            let coef = self.router_guard.z_loss_coef * 2.0 * loss_scale / s_rows.max(1) as f32;
-            for t in 0..s_rows {
-                let z = st.ctx.lse[t];
-                let s_row = st.ctx.scores.row(t);
-                let dl_row = d_logits.row_mut(t);
-                for j in 0..e_count {
-                    dl_row[j] += coef * z * s_row[j];
-                }
-            }
-        }
-        st.ws.recycle(d_scores);
-        st.ctx.x.transpose_into(&mut st.xt);
-        let mut dg = st.ws.take(h, e_count);
-        matmul_slices(
-            st.xt.as_slice(),
-            h,
-            s_rows,
-            d_logits.as_slice(),
-            e_count,
-            dg.as_mut_slice(),
-        );
-        add_assign(&mut self.g_gate, &dg);
-        st.ws.recycle(dg);
-        let mut d_x_gate = st.ws.take(s_rows, h);
-        matmul_transpose_b_slices(
-            d_logits.as_slice(),
-            s_rows,
-            e_count,
-            self.gate.as_slice(),
-            h,
-            d_x_gate.as_mut_slice(),
-        );
-        add_assign(&mut d_x, &d_x_gate);
-        st.ws.recycle(d_x_gate);
-        st.ws.recycle(d_logits);
         d_x
     }
 
