@@ -1,7 +1,7 @@
 //! `bench overlap` — serial vs chunked dispatch–compute overlap.
 //!
-//! Runs the padding-free EP forward twice per configuration — once with the
-//! serial `forward_ep` and once with `forward_ep_overlap` — across a sweep of
+//! Runs the padding-free EP forward twice per configuration — once serial
+//! (one chunk) and once with `CHUNKS` overlapped chunks — across a sweep of
 //! top-k and routing skew, and reports the simulated step times side by side.
 //! The sweep demonstrates where the K-way chunked pipeline pays off: the
 //! overlap hides expert compute under the dispatch/combine all-to-alls, so the
@@ -109,26 +109,16 @@ fn run_config(top_k: usize, skew: f32) -> Record {
             let shard = ExpertShard::for_rank(ctx.rank, WORLD, EXPERTS, HIDDEN, FFN, 0x0E12);
             let tokens =
                 Tensor::rand_uniform(TOKENS_PER_RANK, HIDDEN, 1.0, 0x0E13 + ctx.rank as u64);
-            let out = if overlap {
-                padding_free::forward_ep_overlap(
-                    &tokens,
-                    &router,
-                    &shard,
-                    &spec,
-                    CHUNKS,
-                    &ctx.world,
-                    &mut ctx.clock,
-                )
-            } else {
-                padding_free::forward_ep(
-                    &tokens,
-                    &router,
-                    &shard,
-                    &spec,
-                    &ctx.world,
-                    &mut ctx.clock,
-                )
-            }
+            let chunks = if overlap { CHUNKS } else { 1 };
+            let out = padding_free::forward_ep_overlap(
+                &tokens,
+                &router,
+                &shard,
+                &spec,
+                chunks,
+                &ctx.world,
+                &mut ctx.clock,
+            )
             .expect("pft forward");
             (ctx.clock.now(), out)
         })

@@ -11,6 +11,8 @@
 //! * [`pft`] — the Padding-Free Token buffer and its construction routine
 //!   (Listing 1 / Appendix B.2).
 //! * [`expert`] — fine-grained expert FFNs and per-rank expert shards.
+//! * [`assignment`] — which EP ranks hold which expert (contiguous,
+//!   ragged, migrated or replicated layouts).
 //! * [`pipeline`] — the padding-free MoE layer (§4.1) and the dense
 //!   zero-padded GShard/DeepSpeed-MoE baseline (Appendix B.1), both in
 //!   single-rank and distributed (expert-parallel) forms.
@@ -29,6 +31,7 @@
 //!   model, keep the Pareto frontier.
 
 pub mod analysis;
+pub mod assignment;
 pub mod config;
 pub mod expert;
 pub mod gating;
@@ -41,6 +44,7 @@ pub mod plan;
 pub mod rbd;
 pub mod ssmb;
 
+pub use assignment::ExpertAssignment;
 pub use config::{DType, MoeModelConfig, ParallelConfig};
 pub use expert::{Expert, ExpertShard};
 pub use gating::{DropPolicy, GatingOutput, Router, RouterGuard};

@@ -13,12 +13,11 @@
 //! accounting the `ablation_blocksparse` bench sweeps.
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_tensor::{gather_rows, gather_rows_into, scatter_rows_scaled, Tensor};
+use xmoe_tensor::Tensor;
 
 use crate::expert::ExpertShard;
 use crate::gating::Router;
-use crate::pft::Pft;
-use crate::pipeline::padding_free::{EpRoute, PooledSingleState};
+use crate::pipeline::padding_free::{forward_ep_with, forward_single_with, PooledSingleState};
 use crate::pipeline::MoeLayerSpec;
 
 /// Round `n` up to a multiple of `block`.
@@ -63,11 +62,11 @@ pub fn forward_single_block_sparse(
     forward_single_block_sparse_pooled(tokens, router, experts, spec, block, &mut state)
 }
 
-/// [`forward_single_block_sparse`] on a [`PooledSingleState`]: pooled
-/// gating, PFT construction, padded staging and segment GEMMs. Bitwise
-/// identical to the unpooled variant (padding rows are zero either way);
-/// allocation-free at steady state. The returned output is leased from
-/// `state.ws` — recycle it there when done.
+/// [`forward_single_block_sparse`] on a [`PooledSingleState`]: the shared
+/// pooled single-rank body with a padded expert step (pad → segment GEMMs
+/// → strip). Bitwise identical to the unpooled variant (padding rows are
+/// zero either way); allocation-free at steady state. The returned output
+/// is leased from `state.ws` — recycle it there when done.
 pub fn forward_single_block_sparse_pooled(
     tokens: &Tensor,
     router: &Router,
@@ -76,54 +75,24 @@ pub fn forward_single_block_sparse_pooled(
     block: usize,
     state: &mut PooledSingleState,
 ) -> Tensor {
-    assert_eq!(experts.len(), spec.num_experts);
-    router.gate_into(tokens, &mut state.gate_scratch, &mut state.gating);
-    Pft::construct_into(
-        &state.gating,
-        spec.num_experts,
-        spec.capacity,
-        spec.policy,
-        &mut state.pft_scratch,
-        &mut state.pft,
-    );
-    gather_rows_into(tokens, &state.pft.token_ids, &mut state.dispatch_in);
-    let hidden = tokens.cols();
-
-    let mut padded_counts = state.ws.take_idx(spec.num_experts);
-    for (p, &c) in padded_counts.iter_mut().zip(&state.pft.tokens_per_expert) {
-        *p = round_up(c, block);
-    }
-    let padded_total: usize = padded_counts.iter().sum();
-    // take() zero-fills, so the pad rows are zero even on a reused buffer.
-    let mut padded_buf = state.ws.take(padded_total, hidden);
-    copy_segments(
-        &state.dispatch_in,
-        &state.pft.tokens_per_expert,
-        &mut padded_buf,
-        &padded_counts,
-    );
-
-    let out_padded = experts.forward_segments_pooled(&padded_buf, &padded_counts, &mut state.ws);
-
-    let mut mlp_out = state.ws.take(state.pft.len(), hidden);
-    copy_segments(
-        &out_padded,
-        &padded_counts,
-        &mut mlp_out,
-        &state.pft.tokens_per_expert,
-    );
-    let mut out = state.ws.take(tokens.rows(), hidden);
-    scatter_rows_scaled(
-        &mlp_out,
-        &state.pft.token_ids,
-        &state.pft.combine_weights,
-        &mut out,
-    );
-    state.ws.recycle(mlp_out);
-    state.ws.recycle(out_padded);
-    state.ws.recycle(padded_buf);
-    state.ws.recycle_idx(padded_counts);
-    out
+    forward_single_with(tokens, router, experts, spec, state, |input, counts, ws| {
+        let hidden = input.cols();
+        let mut padded_counts = ws.take_idx(counts.len());
+        for (p, &c) in padded_counts.iter_mut().zip(counts) {
+            *p = round_up(c, block);
+        }
+        let padded_total: usize = padded_counts.iter().sum();
+        // take() zero-fills, so the pad rows are zero even on a reused buffer.
+        let mut padded_buf = ws.take(padded_total, hidden);
+        copy_segments(input, counts, &mut padded_buf, &padded_counts);
+        let out_padded = experts.forward_segments_pooled(&padded_buf, &padded_counts, ws);
+        let mut mlp_out = ws.take(input.rows(), hidden);
+        copy_segments(&out_padded, &padded_counts, &mut mlp_out, counts);
+        ws.recycle(out_padded);
+        ws.recycle(padded_buf);
+        ws.recycle_idx(padded_counts);
+        mlp_out
+    })
 }
 
 /// Copy `counts[e]` rows per expert from `src` into segments of
@@ -145,10 +114,11 @@ fn copy_segments(src: &Tensor, src_counts: &[usize], dst: &mut Tensor, dst_count
 }
 
 /// Distributed block-sparse MoE layer over an expert-parallel group: the
-/// same uneven dispatch/combine as [`crate::pipeline::padding_free::forward_ep`],
-/// but each local expert's segment is zero-padded to a multiple of the tile
-/// size before the GEMM (and the padded rows' FLOPs are charged — the waste
-/// the paper measures). Charges the six Fig 11 stage labels.
+/// padding-free EP body ([`crate::pipeline::padding_free::forward_ep`]'s
+/// uneven dispatch/combine) with an expert step that zero-pads each local
+/// expert's segment to a multiple of the tile size before the GEMM (and
+/// charges the padded rows' FLOPs — the waste the paper measures). Charges
+/// the six Fig 11 stage labels.
 pub fn forward_ep_block_sparse(
     tokens: &Tensor,
     router: &Router,
@@ -160,72 +130,40 @@ pub fn forward_ep_block_sparse(
 ) -> Result<Tensor, CommError> {
     let cost = ep.cost();
     let hidden = tokens.cols();
-
-    // --- Gating + PFT construction -------------------------------------
-    let gating = router.gate(tokens);
-    let pft = Pft::construct(&gating, spec.num_experts, spec.capacity, spec.policy);
-    let gate_flops = 2.0 * tokens.rows() as f64 * hidden as f64 * spec.num_experts as f64;
-    let pft_bytes = (tokens.rows() * gating.k()) as f64 * 32.0;
-    clock.charge(
-        "gating",
-        cost.compute_time(gate_flops) + cost.mem_bound_time(pft_bytes),
-    );
-
-    // --- Buffer dispatch ------------------------------------------------
-    let dispatch_in = gather_rows(tokens, &pft.token_ids);
-    clock.charge(
-        "buffer_dispatch",
-        cost.mem_bound_time(2.0 * (pft.len() * hidden * 4) as f64),
-    );
-
-    // --- Dispatch all-to-all (uneven) -----------------------------------
-    let route = EpRoute::build(pft, spec, ep, clock)?;
-    clock.commit("dispatch_a2a_meta");
-    let expert_input = route.to_experts(&dispatch_in, ep, clock)?;
-    clock.commit("dispatch_a2a");
-
-    // --- Block-pad each local expert segment to the tile boundary -------
-    let counts = &route.tokens_per_local_expert;
-    let padded_counts: Vec<usize> = counts.iter().map(|&c| round_up(c, block)).collect();
-    let padded_total: usize = padded_counts.iter().sum();
-    let mut padded_buf = Tensor::zeros(padded_total, hidden);
-    copy_segments(&expert_input, counts, &mut padded_buf, &padded_counts);
-    clock.charge(
-        "buffer_dispatch",
-        cost.mem_bound_time(2.0 * (padded_total * hidden * 4) as f64),
-    );
-
-    // --- Expert computation over the padded tiles -----------------------
-    let out_padded = shard.forward_segments(&padded_buf, &padded_counts);
     let ffn = shard.experts.first().map_or(0, |e| e.w1.cols());
-    let expert_flops = 4.0 * padded_total as f64 * hidden as f64 * ffn as f64;
-    clock.charge("expert", cost.compute_time(expert_flops));
+    forward_ep_with(
+        tokens,
+        router,
+        spec,
+        1,
+        ep,
+        clock,
+        |counts, input, clock| {
+            // --- Block-pad each local expert segment to the tile boundary
+            let padded_counts: Vec<usize> = counts.iter().map(|&c| round_up(c, block)).collect();
+            let padded_total: usize = padded_counts.iter().sum();
+            let mut padded_buf = Tensor::zeros(padded_total, hidden);
+            copy_segments(input, counts, &mut padded_buf, &padded_counts);
+            clock.charge(
+                "buffer_dispatch",
+                cost.mem_bound_time(2.0 * (padded_total * hidden * 4) as f64),
+            );
 
-    // --- Strip the padding ----------------------------------------------
-    let mut mlp_out = Tensor::zeros(route.recv_total(), hidden);
-    copy_segments(&out_padded, &padded_counts, &mut mlp_out, counts);
-    clock.charge(
-        "buffer_combine",
-        cost.mem_bound_time(2.0 * (route.recv_total() * hidden * 4) as f64),
-    );
+            // --- Expert computation over the padded tiles
+            let out_padded = shard.forward_segments(&padded_buf, &padded_counts);
+            let expert_flops = 4.0 * padded_total as f64 * hidden as f64 * ffn as f64;
+            clock.charge("expert", cost.compute_time(expert_flops));
 
-    // --- Combine all-to-all (reverse route) -----------------------------
-    let combine_in = route.to_source(&mlp_out, ep, clock)?;
-    clock.commit("combine_a2a");
-
-    // --- Buffer combine -------------------------------------------------
-    let mut out = Tensor::zeros(tokens.rows(), hidden);
-    scatter_rows_scaled(
-        &combine_in,
-        &route.pft.token_ids,
-        &route.pft.combine_weights,
-        &mut out,
-    );
-    clock.charge(
-        "buffer_combine",
-        cost.mem_bound_time(2.0 * (route.pft.len() * hidden * 4) as f64),
-    );
-    Ok(out)
+            // --- Strip the padding
+            let mut mlp_out = Tensor::zeros(input.rows(), hidden);
+            copy_segments(&out_padded, &padded_counts, &mut mlp_out, counts);
+            clock.charge(
+                "buffer_combine",
+                cost.mem_bound_time(2.0 * (input.rows() * hidden * 4) as f64),
+            );
+            mlp_out
+        },
+    )
 }
 
 #[cfg(test)]

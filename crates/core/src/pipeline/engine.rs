@@ -278,20 +278,15 @@ impl Pipeline for PaddingFreePipeline {
             }
             Some(comm) => {
                 let clock = require_clock(clock)?;
-                Ok(match overlap_chunks {
-                    None => {
-                        padding_free::forward_ep(tokens, router, experts, spec, comm.ep(), clock)?
-                    }
-                    Some(chunks) => padding_free::forward_ep_overlap(
-                        tokens,
-                        router,
-                        experts,
-                        spec,
-                        *chunks,
-                        comm.ep(),
-                        clock,
-                    )?,
-                })
+                Ok(padding_free::forward_ep_overlap(
+                    tokens,
+                    router,
+                    experts,
+                    spec,
+                    overlap_chunks.unwrap_or(1),
+                    comm.ep(),
+                    clock,
+                )?)
             }
         }
     }

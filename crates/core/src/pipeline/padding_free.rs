@@ -5,15 +5,22 @@
 //! `buffer_combine`.
 //!
 //! The uneven exchange is factored into a reusable [`EpRoute`]: built once
-//! per batch from the PFT's per-expert counts, it can push any row payload
-//! along the dispatch direction ([`EpRoute::to_experts`]) or back along the
-//! combine direction ([`EpRoute::to_source`]). The training backward pass
-//! reuses the same route in reverse — gradients travel the exact same two
-//! all-to-alls mirrored (the paper's 4 all-to-alls per layer per step).
+//! per batch from the PFT's per-expert counts and an [`ExpertAssignment`]
+//! (any expert layout: contiguous, ragged, migrated or replicated), it can
+//! push any row payload along the dispatch direction
+//! ([`EpRoute::to_experts`]) or back along the combine direction
+//! ([`EpRoute::to_source`]), or run a whole dispatch → compute → combine
+//! round trip, serial or chunked ([`EpRoute::exchange`]). The training
+//! backward pass reuses the same route in reverse — gradients travel the
+//! exact same two all-to-alls mirrored (the paper's 4 all-to-alls per
+//! layer per step).
+
+use std::borrow::Cow;
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
 use xmoe_tensor::{gather_rows, gather_rows_into, scatter_rows_scaled, Tensor, Workspace};
 
+use crate::assignment::ExpertAssignment;
 use crate::expert::ExpertShard;
 use crate::gating::{GateScratch, GatingOutput, Router};
 use crate::pft::{Pft, PftScratch};
@@ -66,6 +73,27 @@ pub fn forward_single_pooled(
     spec: &MoeLayerSpec,
     state: &mut PooledSingleState,
 ) -> Tensor {
+    forward_single_with(tokens, router, experts, spec, state, |input, counts, ws| {
+        experts.forward_segments_pooled(input, counts, ws)
+    })
+}
+
+/// The one single-rank body every pooled pipeline shares: pooled gating →
+/// PFT → gather → `expert_step` → weighted scatter. `expert_step` gets the
+/// expert-sorted dispatch rows and the per-expert counts, and returns one
+/// output row per input row leased from the workspace (the body recycles
+/// it).
+pub(crate) fn forward_single_with<F>(
+    tokens: &Tensor,
+    router: &Router,
+    experts: &ExpertShard,
+    spec: &MoeLayerSpec,
+    state: &mut PooledSingleState,
+    expert_step: F,
+) -> Tensor
+where
+    F: FnOnce(&Tensor, &[usize], &mut Workspace) -> Tensor,
+{
     assert_eq!(
         experts.len(),
         spec.num_experts,
@@ -81,7 +109,7 @@ pub fn forward_single_pooled(
         &mut state.pft,
     );
     gather_rows_into(tokens, &state.pft.token_ids, &mut state.dispatch_in);
-    let mlp_out = experts.forward_segments_pooled(
+    let mlp_out = expert_step(
         &state.dispatch_in,
         &state.pft.tokens_per_expert,
         &mut state.ws,
@@ -97,12 +125,20 @@ pub fn forward_single_pooled(
     out
 }
 
-/// The routing plan of one uneven EP exchange, reusable for forward
-/// activations and backward gradients.
+/// Stage labels of the forward exchange: (to experts, expert compute, back
+/// to sources).
+pub const FORWARD_STAGES: (&str, &str, &str) = ("dispatch_a2a", "expert", "combine_a2a");
+
+/// The routing plan of one uneven EP exchange over any
+/// [`ExpertAssignment`], reusable for forward activations and backward
+/// gradients.
 ///
-/// Wire layout: rows travel grouped by destination rank (the PFT is
-/// expert-sorted, so per-destination slices are contiguous); on arrival
-/// they are regrouped expert-major for the sequential GEMM via `perm`.
+/// Wire layout: senders emit each expert's PFT segment to that expert's
+/// serving rank, grouped by destination rank with ascending global expert
+/// id inside each group; receivers regroup the concatenated-by-source wire
+/// buffer expert-major — (local expert ascending, source rank ascending,
+/// source PFT order) — so the expert GEMM order does not depend on which
+/// rank serves which copy.
 pub struct EpRoute {
     /// The PFT this route was built from (source-side ERI arrays).
     pub pft: Pft,
@@ -112,13 +148,18 @@ pub struct EpRoute {
     pub recv_per_src: Vec<usize>,
     /// Entry counts per local expert after the expert-major regroup.
     pub tokens_per_local_expert: Vec<usize>,
-    /// `perm[i]` = wire position of expert-major position `i`.
-    perm: Vec<usize>,
-    /// Inverse of `perm`.
-    inv_perm: Vec<usize>,
-    /// `tpe_recv[src][e]` = rows inbound from `src` for local expert `e`
-    /// (the raw count exchange), kept to derive per-chunk sub-routes.
+    /// Send position → PFT row, and its inverse; `None` when the PFT's
+    /// expert order already groups rows by destination (every contiguous
+    /// single-holder layout), so no regroup is needed.
+    send_perm: Option<(Vec<usize>, Vec<usize>)>,
+    /// `tpe_send[dst][j]` = rows this rank sends to `dst`'s `j`-th local
+    /// expert, and `tpe_recv[src][j]` = rows inbound from `src` for local
+    /// expert `j` (the two sides of the count exchange), kept to derive
+    /// per-chunk sub-routes.
+    tpe_send: Vec<Vec<u64>>,
     tpe_recv: Vec<Vec<u64>>,
+    /// The whole exchange as one chunk (the serial schedule).
+    full: ChunkPlan,
 }
 
 /// One chunk of an [`EpRoute`]: the sub-route covering a contiguous range of
@@ -126,12 +167,11 @@ pub struct EpRoute {
 /// GEMMs. Concatenating the chunks' expert-major buffers in order
 /// reconstructs the full route's expert-major buffer exactly.
 pub struct ChunkPlan {
-    /// Local-expert range `[e0, e1)` this chunk covers (on every rank —
-    /// chunking is by expert index, which is uniform across ranks).
+    /// This rank's local-expert range `[e0, e1)` the chunk covers.
     pub experts: (usize, usize),
-    /// Send rows `[start, end)` in PFT order, per destination rank (the
-    /// PFT is expert-sorted, so each destination's chunk slice is
-    /// contiguous).
+    /// Send rows `[start, end)` in send order, per destination rank (each
+    /// destination's local experts are contiguous in send order, so its
+    /// chunk slice is too).
     pub send_ranges: Vec<(usize, usize)>,
     /// Rows received from each source rank in this chunk.
     pub recv_per_src: Vec<usize>,
@@ -142,179 +182,253 @@ pub struct ChunkPlan {
 }
 
 impl ChunkPlan {
+    /// Chunk `c` of `k`: on every rank `d`, the local experts
+    /// `[c·n_d/k, (c+1)·n_d/k)` of its `n_d`.
+    fn new(tpe_send: &[Vec<u64>], tpe_recv: &[Vec<u64>], c: usize, k: usize) -> ChunkPlan {
+        let upto = |counts: &[u64], j: usize| counts[..j].iter().sum::<u64>() as usize;
+        let mut base = 0usize;
+        let send_ranges = tpe_send
+            .iter()
+            .map(|counts| {
+                let n = counts.len();
+                let range = (
+                    base + upto(counts, c * n / k),
+                    base + upto(counts, (c + 1) * n / k),
+                );
+                base += upto(counts, n);
+                range
+            })
+            .collect();
+
+        let e_local = tpe_recv.first().map_or(0, Vec::len);
+        let (e0, e1) = (c * e_local / k, (c + 1) * e_local / k);
+        let recv_per_src: Vec<usize> = tpe_recv
+            .iter()
+            .map(|r| r[e0..e1].iter().sum::<u64>() as usize)
+            .collect();
+        // Wire order is (src, local expert); regroup (local expert, src) so
+        // chunk buffers concatenate into the full expert-major order.
+        let (mut starts, mut total) = (Vec::with_capacity(recv_per_src.len()), 0usize);
+        for &cnt in &recv_per_src {
+            starts.push(total);
+            total += cnt;
+        }
+        let mut perm = Vec::with_capacity(total);
+        for e in e0..e1 {
+            for (counts, &start) in tpe_recv.iter().zip(&starts) {
+                let start = start + counts[e0..e].iter().sum::<u64>() as usize;
+                perm.extend(start..start + counts[e] as usize);
+            }
+        }
+        let mut inv_perm = vec![0usize; perm.len()];
+        for (expert_major, &wire) in perm.iter().enumerate() {
+            inv_perm[wire] = expert_major;
+        }
+        ChunkPlan {
+            experts: (e0, e1),
+            send_ranges,
+            recv_per_src,
+            perm,
+            inv_perm,
+        }
+    }
+
     /// Rows on the expert side of this chunk.
     pub fn recv_total(&self) -> usize {
         self.perm.len()
     }
+
+    /// Per-destination dispatch payloads of this chunk, cut from rows in
+    /// send order.
+    fn dispatch_parts(&self, send: &Tensor) -> Vec<Vec<f32>> {
+        self.send_ranges
+            .iter()
+            .map(|&(s0, s1)| rows_to_vec(send, s0, s1))
+            .collect()
+    }
+
+    /// The chunk's arrived wire payloads, regrouped expert-major.
+    fn expert_major(&self, recv: Vec<Vec<f32>>, hidden: usize) -> Tensor {
+        let wire = vecs_to_tensor(recv, hidden);
+        debug_assert_eq!(wire.rows(), self.recv_total());
+        gather_rows(&wire, &self.perm)
+    }
+
+    /// Per-source combine payloads of the chunk's expert-major rows.
+    fn combine_parts(&self, rows: &Tensor) -> Vec<Vec<f32>> {
+        let wire = gather_rows(rows, &self.inv_perm);
+        let mut offset = 0usize;
+        self.recv_per_src
+            .iter()
+            .map(|&cnt| {
+                offset += cnt;
+                rows_to_vec(&wire, offset - cnt, offset)
+            })
+            .collect()
+    }
 }
 
 impl EpRoute {
-    /// Collectively build the route: exchanges `tokens_per_expert` so every
-    /// destination knows its inbound segment sizes (Listing 1 line 44).
+    /// Collectively build the route: exchanges the per-(destination, local
+    /// expert) counts so every destination knows its inbound segment sizes
+    /// (Listing 1 line 44) — one `u64` all-to-all, claimed by the caller
+    /// (`clock.commit("dispatch_a2a_meta")`).
     pub fn build(
         pft: Pft,
-        spec: &MoeLayerSpec,
+        assignment: &ExpertAssignment,
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<EpRoute, CommError> {
         let w = ep.size();
-        assert_eq!(spec.num_experts % w, 0, "experts must divide EP size");
-        let e_local = spec.num_experts / w;
-        let tpe_send: Vec<Vec<u64>> = (0..w)
-            .map(|dst| {
-                pft.tokens_per_expert[dst * e_local..(dst + 1) * e_local]
-                    .iter()
-                    .map(|&c| c as u64)
-                    .collect()
-            })
-            .collect();
-        let tpe_recv = ep.all_to_all_v(tpe_send, clock)?;
+        let me = ep.rank();
+        let e = assignment.n_experts();
+        assert_eq!(assignment.n_ranks(), w, "assignment world != communicator");
+        assert_eq!(pft.tokens_per_expert.len(), e, "PFT expert count mismatch");
+        let mut pre = vec![0usize; e + 1];
+        for (g, &c) in pft.tokens_per_expert.iter().enumerate() {
+            pre[g + 1] = pre[g] + c;
+        }
+        // Destination `d` gets my rows for each of its local experts that
+        // *I* route to `d` (none when my stripe of a replicated expert
+        // lands elsewhere), in ascending expert order.
+        let mut tpe_send = Vec::with_capacity(w);
+        let mut send_perm = Vec::with_capacity(pft.len());
+        let mut send_per_dst = Vec::with_capacity(w);
+        for d in 0..w {
+            let mark = send_perm.len();
+            let counts = assignment
+                .experts_on(d)
+                .into_iter()
+                .map(|g| {
+                    if assignment.serving_rank(g, me) != d {
+                        return 0;
+                    }
+                    send_perm.extend(pre[g]..pre[g + 1]);
+                    pft.tokens_per_expert[g] as u64
+                })
+                .collect();
+            tpe_send.push(counts);
+            send_per_dst.push(send_perm.len() - mark);
+        }
+        debug_assert_eq!(send_perm.len(), pft.len(), "every PFT row routes once");
+        let send_perm = if send_perm.iter().enumerate().all(|(i, &p)| i == p) {
+            None
+        } else {
+            let mut inv = vec![0usize; send_perm.len()];
+            for (k, &p) in send_perm.iter().enumerate() {
+                inv[p] = k;
+            }
+            Some((send_perm, inv))
+        };
+        let tpe_recv = ep.all_to_all_v(tpe_send.clone(), clock)?;
 
-        let send_per_dst = pft.counts_per_shard(w);
-        let recv_per_src: Vec<usize> = tpe_recv
-            .iter()
-            .map(|r| r.iter().sum::<u64>() as usize)
-            .collect();
-        let mut src_base = vec![0usize; w];
-        for s in 1..w {
-            src_base[s] = src_base[s - 1] + recv_per_src[s - 1];
-        }
-        let mut tokens_per_local_expert = vec![0usize; e_local];
+        let mut tokens_per_local_expert = vec![0usize; tpe_recv[0].len()];
         for r in &tpe_recv {
-            for (e, &c) in r.iter().enumerate() {
-                tokens_per_local_expert[e] += c as usize;
+            for (j, &c) in r.iter().enumerate() {
+                tokens_per_local_expert[j] += c as usize;
             }
         }
-        let total: usize = tokens_per_local_expert.iter().sum();
-        // Wire order is (src, local_expert); the sequential GEMM needs
-        // (local_expert, src).
-        let mut perm = Vec::with_capacity(total);
-        for e in 0..e_local {
-            for (src, counts) in tpe_recv.iter().enumerate() {
-                let before: usize = counts[..e].iter().map(|&c| c as usize).sum();
-                let cnt = counts[e] as usize;
-                let start = src_base[src] + before;
-                perm.extend(start..start + cnt);
-            }
-        }
-        let mut inv_perm = vec![0usize; total];
-        for (expert_major, &wire) in perm.iter().enumerate() {
-            inv_perm[wire] = expert_major;
-        }
+        let full = ChunkPlan::new(&tpe_send, &tpe_recv, 0, 1);
         Ok(EpRoute {
             pft,
             send_per_dst,
-            recv_per_src,
+            recv_per_src: full.recv_per_src.clone(),
             tokens_per_local_expert,
-            perm,
-            inv_perm,
+            send_perm,
+            tpe_send,
             tpe_recv,
+            full,
         })
     }
 
-    /// Split the route into (up to) `chunks` sub-routes over contiguous
-    /// local-expert ranges, for the pipelined dispatch–compute overlap.
+    /// Split the route into `K = chunks.clamp(1, max_d n_d)` sub-routes,
+    /// where `n_d` is rank `d`'s local expert count: chunk `c` covers rank
+    /// `d`'s local experts `[c·n_d/K, (c+1)·n_d/K)` (possibly empty on a
+    /// rank with fewer than `K` experts).
     ///
-    /// The chunk boundaries are pure functions of uniform quantities
-    /// (`chunks`, the local expert count), so every rank derives the same
-    /// plan and the chunked collectives stay in SPMD order.
+    /// `K` and every rank's boundaries are pure functions of the shared
+    /// assignment, so every rank derives the same plan and the chunked
+    /// collectives stay in SPMD order.
     pub fn chunk_plans(&self, chunks: usize) -> Vec<ChunkPlan> {
-        let e_local = self.tokens_per_local_expert.len();
-        let w = self.send_per_dst.len();
-        let k = chunks.clamp(1, e_local.max(1));
-        // Global prefix over the PFT's per-expert counts: the PFT is sorted
-        // by global expert id, so rows destined for dst `d`'s local experts
-        // [e0, e1) are exactly PFT rows [gpre[d*e_local+e0], gpre[d*e_local+e1]).
-        let n_exp = self.pft.tokens_per_expert.len();
-        let mut gpre = vec![0usize; n_exp + 1];
-        for (e, &c) in self.pft.tokens_per_expert.iter().enumerate() {
-            gpre[e + 1] = gpre[e] + c;
-        }
-        let mut plans = Vec::with_capacity(k);
-        for c in 0..k {
-            let e0 = c * e_local / k;
-            let e1 = (c + 1) * e_local / k;
-            let send_ranges: Vec<(usize, usize)> = (0..w)
-                .map(|d| (gpre[d * e_local + e0], gpre[d * e_local + e1]))
-                .collect();
-            let recv_per_src: Vec<usize> = self
-                .tpe_recv
-                .iter()
-                .map(|r| r[e0..e1].iter().sum::<u64>() as usize)
-                .collect();
-            let mut src_base = vec![0usize; w];
-            for s in 1..w {
-                src_base[s] = src_base[s - 1] + recv_per_src[s - 1];
-            }
-            let total: usize = recv_per_src.iter().sum();
-            // Chunk wire order is (src, local_expert) like the full route;
-            // regroup (local_expert, src) so chunk buffers concatenate into
-            // the full expert-major order.
-            let mut perm = Vec::with_capacity(total);
-            for e in e0..e1 {
-                for (src, counts) in self.tpe_recv.iter().enumerate() {
-                    let before: usize = counts[e0..e].iter().map(|&c| c as usize).sum();
-                    let cnt = counts[e] as usize;
-                    let start = src_base[src] + before;
-                    perm.extend(start..start + cnt);
-                }
-            }
-            let mut inv_perm = vec![0usize; total];
-            for (expert_major, &wire) in perm.iter().enumerate() {
-                inv_perm[wire] = expert_major;
-            }
-            plans.push(ChunkPlan {
-                experts: (e0, e1),
-                send_ranges,
-                recv_per_src,
-                perm,
-                inv_perm,
-            });
-        }
-        plans
+        let max_local = self.tpe_send.iter().map(Vec::len).max().unwrap_or(0);
+        let k = chunks.clamp(1, max_local.max(1));
+        (0..k)
+            .map(|c| ChunkPlan::new(&self.tpe_send, &self.tpe_recv, c, k))
+            .collect()
     }
 
     /// Rows received on this rank (the expert-side buffer length).
     pub fn recv_total(&self) -> usize {
-        self.perm.len()
+        self.full.recv_total()
     }
 
-    /// Pipelined `to_experts → compute → to_source`: the route is split into
-    /// `chunks` expert-contiguous sub-routes, every dispatch chunk is issued
-    /// up front (a NIC send queue), and chunk `i`'s expert compute runs on
-    /// the `compute` overlap track while chunk `i+1`'s payload is still in
-    /// flight on the `comm` track (paper §4.1's dispatch–compute overlap).
+    /// `rows` (PFT order) regrouped into send order.
+    fn send_order<'a>(&self, rows: &'a Tensor) -> Cow<'a, Tensor> {
+        debug_assert_eq!(rows.rows(), self.pft.len(), "payload must be in PFT order");
+        match &self.send_perm {
+            None => Cow::Borrowed(rows),
+            Some((perm, _)) => Cow::Owned(gather_rows(rows, perm)),
+        }
+    }
+
+    /// Send-ordered `rows` back in PFT order.
+    fn pft_order(&self, rows: Tensor) -> Tensor {
+        match &self.send_perm {
+            None => rows,
+            Some((_, inv)) => gather_rows(&rows, inv),
+        }
+    }
+
+    /// Carry PFT-ordered `rows` to the experts, run `compute` on each
+    /// received expert-major block and carry its output back to PFT order
+    /// on the sources. `compute(experts, block, clock)` gets the block's
+    /// local-expert range `[e0, e1)`, must return one output row per input
+    /// row, and charges its own time.
+    ///
+    /// `stages = (to experts, compute, back to sources)` name the stage
+    /// buckets. With `chunks <= 1` the exchange is one serial all-to-all
+    /// each way around a single `compute` over every local expert. With
+    /// `chunks > 1` it is split into the [`Self::chunk_plans`] sub-routes
+    /// and pipelined (paper §4.1's dispatch–compute overlap): every
+    /// dispatch chunk is issued up front (a NIC send queue), and chunk
+    /// `i`'s compute runs on the `compute` overlap track while chunk
+    /// `i+1`'s payload is still in flight on the `comm` track.
     ///
     /// Three tracks model a full-duplex NIC: dispatch chunks drain
-    /// back-to-back on `comm` (inbound), expert GEMMs run on `compute`, and
+    /// back-to-back on `comm` (inbound), compute runs on `compute`, and
     /// combine chunks drain on `comm_out` (outbound) — a combine transfer
-    /// cannot start before its own GEMM finished (enforced per chunk via
+    /// cannot start before its own compute finished (enforced per chunk via
     /// `advance_to_op`) but does not block dispatch chunks still in flight
-    /// the other way.
+    /// the other way. Leftover pending time inside a chunk's compute is
+    /// committed under the compute label.
     ///
-    /// `labels = (dispatch, compute, combine)` name the stage buckets.
-    /// `compute(c, plan, chunk_in, clock)` gets chunk `c`'s expert-major
-    /// `[rows_c, H]` buffer, must return the same-shaped output, and charges
-    /// its own compute time (any leftover pending time is committed under the
-    /// compute label). Concatenating the chunk buffers in order reproduces
-    /// the full route's expert-major buffer exactly, so the overlapped result
-    /// is bitwise identical to the serial schedule — only the simulated
-    /// timeline differs.
-    pub fn exchange_overlap<F>(
+    /// Concatenating the chunk buffers in order reproduces the full route's
+    /// expert-major buffer exactly, so both schedules give bitwise-identical
+    /// results — only the simulated timeline differs.
+    pub fn exchange<F>(
         &self,
         rows: &Tensor,
         chunks: usize,
-        labels: (&str, &str, &str),
+        stages: (&str, &str, &str),
         ep: &Communicator,
         clock: &mut SimClock,
         mut compute: F,
     ) -> Result<Tensor, CommError>
     where
-        F: FnMut(usize, &ChunkPlan, &Tensor, &mut SimClock) -> Tensor,
+        F: FnMut((usize, usize), &Tensor, &mut SimClock) -> Tensor,
     {
-        let (dispatch_label, compute_label, combine_label) = labels;
+        let (dispatch_label, compute_label, combine_label) = stages;
+        if chunks <= 1 {
+            let input = self.to_experts(rows, ep, clock)?;
+            clock.commit(dispatch_label);
+            let output = compute(self.full.experts, &input, clock);
+            let back = self.to_source(&output, ep, clock)?;
+            clock.commit(combine_label);
+            return Ok(back);
+        }
+
         let hidden = rows.cols();
-        debug_assert_eq!(rows.rows(), self.pft.len(), "payload must be in PFT order");
+        let send = self.send_order(rows);
         let plans = self.chunk_plans(chunks);
 
         clock.begin_overlap("dispatch_compute");
@@ -325,74 +439,58 @@ impl EpRoute {
         // Issuing never blocks, so the interleaved schedule cannot deadlock.
         let mut dispatch_pending = Vec::with_capacity(plans.len());
         for plan in &plans {
-            let send: Vec<Vec<f32>> = plan
-                .send_ranges
-                .iter()
-                .map(|&(s0, s1)| rows_to_vec(rows, s0, s1))
-                .collect();
-            dispatch_pending.push(ep.issue_all_to_all_v(send, clock)?);
+            dispatch_pending.push(ep.issue_all_to_all_v(plan.dispatch_parts(&send), clock)?);
         }
 
         let mut out = Tensor::zeros(self.pft.len(), hidden);
         let mut combine_pending = Vec::with_capacity(plans.len());
-        let mut gemm_done_at = Vec::with_capacity(plans.len());
-        for (c, (plan, pending)) in plans.iter().zip(dispatch_pending).enumerate() {
+        let mut compute_done_at = Vec::with_capacity(plans.len());
+        for (plan, pending) in plans.iter().zip(dispatch_pending) {
             clock.set_track("comm");
             let recv = pending.wait(clock)?;
             clock.commit(dispatch_label);
             let arrived = clock.track_time("comm").expect("comm track exists");
-
-            let wire = vecs_to_tensor(recv, hidden);
-            debug_assert_eq!(wire.rows(), plan.recv_total());
-            let chunk_in = gather_rows(&wire, &plan.perm);
+            let chunk_in = plan.expert_major(recv, hidden);
 
             clock.set_track("compute");
-            // Honest cross-track dependency: the GEMM cannot start before
+            // Honest cross-track dependency: the compute cannot start before
             // its chunk has arrived.
             clock.advance_to_op(compute_label, arrived);
-            let chunk_out = compute(c, plan, &chunk_in, clock);
+            let chunk_out = compute(plan.experts, &chunk_in, clock);
             clock.commit(compute_label);
             assert_eq!(
                 chunk_out.rows(),
                 plan.recv_total(),
                 "compute must map chunk rows 1:1"
             );
-            let gemm_done = clock.track_time("compute").expect("compute track exists");
-            gemm_done_at.push(gemm_done);
+            compute_done_at.push(clock.track_time("compute").expect("compute track exists"));
 
             // Issue the combine send from the compute track: injection is
-            // free, and the message carries the `gemm_done` stamp so peers
-            // cannot see chunk c's rows earlier than its GEMM finished.
+            // free, and the message carries the compute-done stamp so peers
+            // cannot see chunk c's rows earlier than its compute finished.
             // Transfer time is priced on the outbound track in the drain
             // loop below.
-            let wire_order = gather_rows(&chunk_out, &plan.inv_perm);
-            let mut send = Vec::with_capacity(plan.recv_per_src.len());
-            let mut offset = 0usize;
-            for &cnt in &plan.recv_per_src {
-                send.push(rows_to_vec(&wire_order, offset, offset + cnt));
-                offset += cnt;
-            }
-            combine_pending.push(ep.issue_all_to_all_v(send, clock)?);
+            combine_pending.push(ep.issue_all_to_all_v(plan.combine_parts(&chunk_out), clock)?);
         }
 
         // Drain the combine exchanges in issue order on the outbound track;
-        // each chunk's rows return to the PFT positions they were dispatched
-        // from. The per-chunk `advance_to_op` pins the transfer start at the
-        // chunk's own GEMM completion; `wait` then maxes in the peers'
-        // injection stamps.
+        // each chunk's rows return to the send positions they were
+        // dispatched from. The per-chunk `advance_to_op` pins the transfer
+        // start at the chunk's own compute completion; `wait` then maxes in
+        // the peers' injection stamps.
         clock.set_track("comm_out");
-        for ((plan, pending), gemm_done) in plans.iter().zip(combine_pending).zip(gemm_done_at) {
-            clock.advance_to_op(combine_label, gemm_done);
+        for ((plan, pending), done) in plans.iter().zip(combine_pending).zip(compute_done_at) {
+            clock.advance_to_op(combine_label, done);
             let recv = pending.wait(clock)?;
             clock.commit(combine_label);
-            for (src, data) in recv.into_iter().enumerate() {
-                let (s0, s1) = plan.send_ranges[src];
+            for (dst, data) in recv.into_iter().enumerate() {
+                let (s0, s1) = plan.send_ranges[dst];
                 debug_assert_eq!(data.len(), (s1 - s0) * hidden);
                 out.as_mut_slice()[s0 * hidden..s1 * hidden].copy_from_slice(&data);
             }
         }
         clock.end_overlap();
-        Ok(out)
+        Ok(self.pft_order(out))
     }
 
     /// Push `rows` (PFT order, `[B, H]`) along the dispatch direction;
@@ -403,22 +501,9 @@ impl EpRoute {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
-        let hidden = rows.cols();
-        debug_assert_eq!(rows.rows(), self.pft.len(), "payload must be in PFT order");
-        let mut offset = 0usize;
-        let send: Vec<Vec<f32>> = self
-            .send_per_dst
-            .iter()
-            .map(|&cnt| {
-                let v = rows_to_vec(rows, offset, offset + cnt);
-                offset += cnt;
-                v
-            })
-            .collect();
-        let recv = ep.all_to_all_v(send, clock)?;
-        let wire = vecs_to_tensor(recv, hidden);
-        debug_assert_eq!(wire.rows(), self.recv_total());
-        Ok(gather_rows(&wire, &self.perm))
+        let parts = self.full.dispatch_parts(&self.send_order(rows));
+        let recv = ep.all_to_all_v(parts, clock)?;
+        Ok(self.full.expert_major(recv, rows.cols()))
     }
 
     /// Push `rows` (expert-major, `[B_exp, H]`) back to their source
@@ -429,23 +514,15 @@ impl EpRoute {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
-        let hidden = rows.cols();
         debug_assert_eq!(
             rows.rows(),
             self.recv_total(),
             "payload must be expert-major"
         );
-        let wire_order = gather_rows(rows, &self.inv_perm);
-        let mut send: Vec<Vec<f32>> = Vec::with_capacity(self.recv_per_src.len());
-        let mut offset = 0usize;
-        for &cnt in &self.recv_per_src {
-            send.push(rows_to_vec(&wire_order, offset, offset + cnt));
-            offset += cnt;
-        }
-        let recv = ep.all_to_all_v(send, clock)?;
+        let recv = ep.all_to_all_v(self.full.combine_parts(rows), clock)?;
         // Chunks arrive per destination in the order dispatch rows were
-        // sent, so plain concatenation restores PFT order.
-        Ok(vecs_to_tensor(recv, hidden))
+        // sent, so plain concatenation restores send order.
+        Ok(self.pft_order(vecs_to_tensor(recv, rows.cols())))
     }
 }
 
@@ -461,6 +538,60 @@ pub fn forward_ep(
     ep: &Communicator,
     clock: &mut SimClock,
 ) -> Result<Tensor, CommError> {
+    forward_ep_overlap(tokens, router, shard, spec, 1, ep, clock)
+}
+
+/// [`forward_ep`] with the dispatch/combine exchanges split into `chunks`
+/// expert-contiguous pieces and pipelined against the expert GEMMs via
+/// [`EpRoute::exchange`]. The output is bitwise identical to
+/// [`forward_ep`]; only the simulated timeline differs — the `comm` and
+/// `compute` tracks of the overlap region advance concurrently, so the
+/// step's wall clock hides whichever side is shorter.
+pub fn forward_ep_overlap(
+    tokens: &Tensor,
+    router: &Router,
+    shard: &ExpertShard,
+    spec: &MoeLayerSpec,
+    chunks: usize,
+    ep: &Communicator,
+    clock: &mut SimClock,
+) -> Result<Tensor, CommError> {
+    let cost = ep.cost();
+    let hidden = tokens.cols();
+    let ffn = shard.experts.first().map_or(0, |e| e.w1.cols());
+    forward_ep_with(
+        tokens,
+        router,
+        spec,
+        chunks,
+        ep,
+        clock,
+        |counts, input, clock| {
+            let out = shard.forward_segments(input, counts);
+            let flops = 4.0 * input.rows() as f64 * hidden as f64 * ffn as f64;
+            clock.charge("expert", cost.compute_time(flops));
+            out
+        },
+    )
+}
+
+/// The one distributed padding-free body: gating → PFT → gather → route on
+/// the contiguous expert layout → [`EpRoute::exchange`] → weighted scatter.
+/// `expert_step(counts, block, clock)` is the exchange's compute step: it
+/// gets one expert-major block and per-local-expert row counts that are
+/// zero outside the block's experts, and charges its own stage time.
+pub(crate) fn forward_ep_with<F>(
+    tokens: &Tensor,
+    router: &Router,
+    spec: &MoeLayerSpec,
+    chunks: usize,
+    ep: &Communicator,
+    clock: &mut SimClock,
+    mut expert_step: F,
+) -> Result<Tensor, CommError>
+where
+    F: FnMut(&[usize], &Tensor, &mut SimClock) -> Tensor,
+{
     let cost = ep.cost();
     let hidden = tokens.cols();
 
@@ -481,99 +612,31 @@ pub fn forward_ep(
         cost.mem_bound_time(2.0 * (pft.len() * hidden * 4) as f64),
     );
 
-    // --- Dispatch all-to-all (uneven, no padding) -----------------------
+    // --- Dispatch all-to-all (uneven, no padding) → experts → combine ---
     // The count-exchange metadata all-to-all is charged separately from the
     // token payload so payload comparisons across pipelines stay apples to
     // apples.
-    let route = EpRoute::build(pft, spec, ep, clock)?;
+    let assignment = ExpertAssignment::contiguous(spec.num_experts, ep.size());
+    let route = EpRoute::build(pft, &assignment, ep, clock)?;
     clock.commit("dispatch_a2a_meta");
-    let expert_input = route.to_experts(&dispatch_in, ep, clock)?;
-    clock.commit("dispatch_a2a");
-
-    // --- Expert computation: sequential GEMM ---------------------------
-    let mlp_out = shard.forward_segments(&expert_input, &route.tokens_per_local_expert);
-    let ffn = shard.experts.first().map_or(0, |e| e.w1.cols());
-    let expert_flops = 4.0 * expert_input.rows() as f64 * hidden as f64 * ffn as f64;
-    clock.charge("expert", cost.compute_time(expert_flops));
-
-    // --- Combine all-to-all (reverse route) -----------------------------
-    let combine_in = route.to_source(&mlp_out, ep, clock)?;
-    clock.commit("combine_a2a");
-
-    // --- Buffer combine: weighted scatter back to sequence order -------
-    let mut out = Tensor::zeros(tokens.rows(), hidden);
-    scatter_rows_scaled(
-        &combine_in,
-        &route.pft.token_ids,
-        &route.pft.combine_weights,
-        &mut out,
-    );
-    clock.charge(
-        "buffer_combine",
-        cost.mem_bound_time(2.0 * (route.pft.len() * hidden * 4) as f64),
-    );
-    Ok(out)
-}
-
-/// [`forward_ep`] with the dispatch/combine exchanges split into `chunks`
-/// expert-contiguous pieces and pipelined against the expert GEMMs via
-/// [`EpRoute::exchange_overlap`]. The output is bitwise identical to
-/// [`forward_ep`]; only the simulated timeline differs — the `comm` and
-/// `compute` tracks of the overlap region advance concurrently, so the
-/// step's wall clock hides whichever side is shorter.
-pub fn forward_ep_overlap(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    chunks: usize,
-    ep: &Communicator,
-    clock: &mut SimClock,
-) -> Result<Tensor, CommError> {
-    let cost = ep.cost();
-    let hidden = tokens.cols();
-
-    // Serial prefix identical to `forward_ep`.
-    let gating = router.gate(tokens);
-    let pft = Pft::construct(&gating, spec.num_experts, spec.capacity, spec.policy);
-    let gate_flops = 2.0 * tokens.rows() as f64 * hidden as f64 * spec.num_experts as f64;
-    let pft_bytes = (tokens.rows() * gating.k()) as f64 * 32.0;
-    clock.charge(
-        "gating",
-        cost.compute_time(gate_flops) + cost.mem_bound_time(pft_bytes),
-    );
-
-    let dispatch_in = gather_rows(tokens, &pft.token_ids);
-    clock.charge(
-        "buffer_dispatch",
-        cost.mem_bound_time(2.0 * (pft.len() * hidden * 4) as f64),
-    );
-
-    let route = EpRoute::build(pft, spec, ep, clock)?;
-    clock.commit("dispatch_a2a_meta");
-
-    let ffn = shard.experts.first().map_or(0, |e| e.w1.cols());
-    let e_local = route.tokens_per_local_expert.len();
-    let combine_in = route.exchange_overlap(
+    let counts = &route.tokens_per_local_expert;
+    let combine_in = route.exchange(
         &dispatch_in,
         chunks,
-        ("dispatch_a2a", "expert", "combine_a2a"),
+        FORWARD_STAGES,
         ep,
         clock,
-        |_c, plan, chunk_in, clock| {
-            // Per-expert forwards over [e0, e1): a full-length count vector
-            // zeroed outside the chunk makes `forward_segments` walk exactly
-            // the serial schedule's row slices for these experts.
-            let (e0, e1) = plan.experts;
-            let mut counts = vec![0usize; e_local];
-            counts[e0..e1].copy_from_slice(&route.tokens_per_local_expert[e0..e1]);
-            let chunk_out = shard.forward_segments(chunk_in, &counts);
-            let flops = 4.0 * chunk_in.rows() as f64 * hidden as f64 * ffn as f64;
-            clock.charge("expert", cost.compute_time(flops));
-            chunk_out
+        |(e0, e1), block, clock| {
+            // A full-length count vector zeroed outside [e0, e1) makes the
+            // segment GEMMs walk exactly the serial schedule's row slices
+            // for these experts.
+            let mut block_counts = vec![0usize; counts.len()];
+            block_counts[e0..e1].copy_from_slice(&counts[e0..e1]);
+            expert_step(&block_counts, block, clock)
         },
     )?;
 
+    // --- Buffer combine: weighted scatter back to sequence order -------
     let mut out = Tensor::zeros(tokens.rows(), hidden);
     scatter_rows_scaled(
         &combine_in,
@@ -727,7 +790,13 @@ mod tests {
             let gating = router.gate(&tokens);
             let pft = Pft::construct(&gating, e, sp.capacity, sp.policy);
             let payload = Tensor::rand_uniform(pft.len(), h, 1.0, 300 + ctx.rank as u64);
-            let route = EpRoute::build(pft, &sp, &ctx.world, &mut ctx.clock).unwrap();
+            let route = EpRoute::build(
+                pft,
+                &ExpertAssignment::contiguous(e, 4),
+                &ctx.world,
+                &mut ctx.clock,
+            )
+            .unwrap();
             let there = route
                 .to_experts(&payload, &ctx.world, &mut ctx.clock)
                 .unwrap();
@@ -831,7 +900,13 @@ mod tests {
             let tokens = Tensor::rand_uniform(s, h, 1.0, 700 + ctx.rank as u64);
             let gating = router.gate(&tokens);
             let pft = Pft::construct(&gating, e, sp.capacity, sp.policy);
-            let route = EpRoute::build(pft, &sp, &ctx.world, &mut ctx.clock).unwrap();
+            let route = EpRoute::build(
+                pft,
+                &ExpertAssignment::contiguous(e, world),
+                &ctx.world,
+                &mut ctx.clock,
+            )
+            .unwrap();
             for chunks in [1usize, 2, 3, 100] {
                 let plans = route.chunk_plans(chunks);
                 // Expert ranges tile [0, e_local).
@@ -873,7 +948,13 @@ mod tests {
             let gating = router.gate(&tokens);
             let pft = Pft::construct(&gating, e, sp.capacity, sp.policy);
             let b = pft.len();
-            let route = EpRoute::build(pft, &sp, &ctx.world, &mut ctx.clock).unwrap();
+            let route = EpRoute::build(
+                pft,
+                &ExpertAssignment::contiguous(e, 4),
+                &ctx.world,
+                &mut ctx.clock,
+            )
+            .unwrap();
             let send_total: usize = route.send_per_dst.iter().sum();
             let recv_total: usize = route.recv_per_src.iter().sum();
             let expert_total: usize = route.tokens_per_local_expert.iter().sum();

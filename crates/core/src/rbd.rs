@@ -277,39 +277,6 @@ pub fn forward_ep_rbd(
     )
 }
 
-/// [`forward_ep_rbd`] with the S1 inter-node pilot exchange split into
-/// `chunks` contiguous source-rank groups and pipelined against replica
-/// reconstruction: while group `c+1`'s pilot rows are in flight on the
-/// `comm` track, group `c`'s replicas are reconstructed on the `compute`
-/// track. Source groups are processed in ascending rank order, so the
-/// staging buffer and entry list are built in exactly the serial order and
-/// the output stays bitwise identical to [`forward_ep_rbd`].
-#[allow(clippy::too_many_arguments)]
-pub fn forward_ep_rbd_overlap(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    comms: &RbdComms,
-    rng: &mut DetRng,
-    clock: &mut SimClock,
-    chunks: usize,
-) -> Result<Tensor, PipelineError> {
-    let mut state = PooledSingleState::default();
-    forward_ep_rbd_impl(
-        tokens,
-        router,
-        shard,
-        spec,
-        comms,
-        rng,
-        clock,
-        PilotPolicy::Random,
-        Some(chunks),
-        &mut state,
-    )
-}
-
 /// [`forward_ep_rbd`] with every staging buffer — dispatch rows, pilot and
 /// replica wire payloads, metadata streams, merged expert input, MLP
 /// scratch, combine accumulator and the output — leased from the per-rank
@@ -338,24 +305,6 @@ pub fn forward_ep_rbd_pooled(
         PilotPolicy::Random,
         None,
         state,
-    )
-}
-
-/// [`forward_ep_rbd`] with an explicit pilot-selection policy (ablation).
-#[allow(clippy::too_many_arguments)]
-pub fn forward_ep_rbd_with_policy(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    comms: &RbdComms,
-    rng: &mut DetRng,
-    clock: &mut SimClock,
-    policy: PilotPolicy,
-) -> Result<Tensor, PipelineError> {
-    let mut state = PooledSingleState::default();
-    forward_ep_rbd_impl(
-        tokens, router, shard, spec, comms, rng, clock, policy, None, &mut state,
     )
 }
 
@@ -813,7 +762,7 @@ pub(crate) fn forward_ep_rbd_impl(
 mod tests {
     use super::*;
     use crate::gating::DropPolicy;
-    use crate::pipeline::padding_free;
+    use crate::pipeline::{padding_free, ExecCtx, Pipeline, RbdPipeline};
     use xmoe_collectives::SimCluster;
 
     #[test]
@@ -888,17 +837,15 @@ mod tests {
                 let tokens = Tensor::rand_uniform(s, h, 1.0, 900 + ctx.rank as u64);
                 let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
                 let mut rng = DetRng::new(97 + ctx.rank as u64);
-                forward_ep_rbd_with_policy(
-                    &tokens,
-                    &router,
-                    &shard,
-                    &spec,
-                    &comms,
-                    &mut rng,
-                    &mut ctx.clock,
-                    policy,
-                )
-                .unwrap()
+                RbdPipeline { policy }
+                    .forward(
+                        &tokens,
+                        &router,
+                        &shard,
+                        &spec,
+                        &mut ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng),
+                    )
+                    .unwrap()
             });
             for (r, o) in outs.iter().enumerate() {
                 assert_eq!(o.shape(), (s, h), "rank {r}");
@@ -988,15 +935,17 @@ mod tests {
                 let tokens = Tensor::rand_uniform(s, h, 1.0, 400 + ctx.rank as u64);
                 let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
                 let mut rng = DetRng::new(93 + ctx.rank as u64);
-                forward_ep_rbd_overlap(
+                RbdPipeline {
+                    policy: PilotPolicy::Random,
+                }
+                .forward(
                     &tokens,
                     &router,
                     &shard,
                     &spec,
-                    &comms,
-                    &mut rng,
-                    &mut ctx.clock,
-                    chunks,
+                    &mut ExecCtx::hier(&comms, &mut ctx.clock)
+                        .with_rng(&mut rng)
+                        .with_overlap(chunks),
                 )
                 .unwrap()
             });

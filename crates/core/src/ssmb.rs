@@ -75,16 +75,9 @@ pub fn forward_ssmb(
     comms: &SsmbComms,
     clock: &mut SimClock,
 ) -> Result<Tensor, CommError> {
-    let (start, end) = shard_range(tokens.rows(), comms.tp.size(), comms.tp.rank());
-    // ① drop the other TP ranks' token slices.
-    let my_slice = tokens.slice_rows(start, end);
-    // ② run the MoE block over the shard, with this worker as an EP rank.
-    let local_out = padding_free::forward_ep(&my_slice, router, shard, spec, &comms.ep, clock)?;
-    // ③ all-gather the shard outputs to restore the replicated sequence.
-    let gathered = comms.tp.all_gather(local_out.into_vec(), clock)?;
-    clock.commit("ssmb_allgather");
-    let hidden = tokens.cols();
-    Ok(crate::pipeline::vecs_to_tensor(gathered, hidden))
+    sharded(tokens, comms, clock, |my_slice, clock| {
+        padding_free::forward_ep(my_slice, router, shard, spec, &comms.ep, clock)
+    })
 }
 
 /// [`forward_ssmb`] with the MoE block's dispatch/combine exchanges
@@ -102,14 +95,9 @@ pub fn forward_ssmb_overlap(
     chunks: usize,
     clock: &mut SimClock,
 ) -> Result<Tensor, CommError> {
-    let (start, end) = shard_range(tokens.rows(), comms.tp.size(), comms.tp.rank());
-    let my_slice = tokens.slice_rows(start, end);
-    let local_out =
-        padding_free::forward_ep_overlap(&my_slice, router, shard, spec, chunks, &comms.ep, clock)?;
-    let gathered = comms.tp.all_gather(local_out.into_vec(), clock)?;
-    clock.commit("ssmb_allgather");
-    let hidden = tokens.cols();
-    Ok(crate::pipeline::vecs_to_tensor(gathered, hidden))
+    sharded(tokens, comms, clock, |my_slice, clock| {
+        padding_free::forward_ep_overlap(my_slice, router, shard, spec, chunks, &comms.ep, clock)
+    })
 }
 
 /// The complete X-MoE data path: SSMB sequence sharding composed with
@@ -127,13 +115,30 @@ pub fn forward_ssmb_rbd(
     rng: &mut xmoe_tensor::DetRng,
     clock: &mut SimClock,
 ) -> Result<Tensor, crate::pipeline::PipelineError> {
+    sharded(tokens, comms, clock, |my_slice, clock| {
+        crate::rbd::forward_ep_rbd(my_slice, router, shard, spec, rbd, rng, clock)
+    })
+}
+
+/// The SSMB boundary around an inner MoE forward: ① keep this TP rank's
+/// `S/TP` slice of the replicated sequence, ② run `inner` over it as an EP
+/// rank, ③ all-gather the shard outputs over the TP group (committed as
+/// `ssmb_allgather`) to restore the replicated `[S, H]` layout.
+fn sharded<E, F>(
+    tokens: &Tensor,
+    comms: &SsmbComms,
+    clock: &mut SimClock,
+    inner: F,
+) -> Result<Tensor, E>
+where
+    E: From<CommError>,
+    F: FnOnce(&Tensor, &mut SimClock) -> Result<Tensor, E>,
+{
     let (start, end) = shard_range(tokens.rows(), comms.tp.size(), comms.tp.rank());
-    let my_slice = tokens.slice_rows(start, end);
-    let local_out = crate::rbd::forward_ep_rbd(&my_slice, router, shard, spec, rbd, rng, clock)?;
+    let local_out = inner(&tokens.slice_rows(start, end), clock)?;
     let gathered = comms.tp.all_gather(local_out.into_vec(), clock)?;
     clock.commit("ssmb_allgather");
-    let hidden = tokens.cols();
-    Ok(crate::pipeline::vecs_to_tensor(gathered, hidden))
+    Ok(crate::pipeline::vecs_to_tensor(gathered, tokens.cols()))
 }
 
 /// Reference without sequence sharding (the "TED-style" MoE entry): every

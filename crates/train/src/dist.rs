@@ -24,8 +24,7 @@
 use xmoe_collectives::{CommError, Communicator, SimClock};
 use xmoe_core::gating::{gate_with, DropPolicy, GateScratch, GatingOutput};
 use xmoe_core::pft::Pft;
-use xmoe_core::pipeline::padding_free::EpRoute;
-use xmoe_core::pipeline::MoeLayerSpec;
+use xmoe_core::pipeline::padding_free::{EpRoute, FORWARD_STAGES};
 use xmoe_tensor::{
     gather_rows, scale_assign, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace,
 };
@@ -33,7 +32,7 @@ use xmoe_tensor::{
 use crate::adam::Adam;
 use crate::attention::Attention;
 use crate::checkpoint::Checkpoint;
-use crate::elastic::{ElasticRoute, ExpertAssignment};
+use crate::elastic::ExpertAssignment;
 use crate::layers::{DenseMlp, Embedding, Head};
 use crate::moe_layer::{combine_backward, ffn_backward, ffn_forward, RouterBackward, TrainableMoe};
 
@@ -65,106 +64,15 @@ pub struct DistMoe {
     pub policy: DropPolicy,
 }
 
-/// The route a forward pass traveled: the uniform-contiguous [`EpRoute`]
-/// (chunked-overlap path) or the general [`ElasticRoute`]. Both regroup
-/// rows expert-major in (local expert, source rank, source PFT order), so
-/// the expert math is agnostic to which one carried the tokens.
-enum RouteKind {
-    Ep(EpRoute),
-    Elastic(ElasticRoute),
-}
-
-/// Stage labels of the forward and backward exchanges: (to experts,
-/// expert compute, back to sources).
-const FORWARD_STAGES: (&str, &str, &str) = ("dispatch_a2a", "expert", "combine_a2a");
+/// Stage labels of the backward exchange: (to experts, expert compute,
+/// back to sources), mirroring [`FORWARD_STAGES`].
 const BACKWARD_STAGES: (&str, &str, &str) = ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a");
-
-impl RouteKind {
-    fn pft(&self) -> &Pft {
-        match self {
-            RouteKind::Ep(r) => &r.pft,
-            RouteKind::Elastic(r) => &r.pft,
-        }
-    }
-
-    fn tokens_per_local_expert(&self) -> &[usize] {
-        match self {
-            RouteKind::Ep(r) => &r.tokens_per_local_expert,
-            RouteKind::Elastic(r) => &r.tokens_per_local_expert,
-        }
-    }
-
-    fn to_experts(
-        &self,
-        rows: &Tensor,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, CommError> {
-        match self {
-            RouteKind::Ep(r) => r.to_experts(rows, ep, clock),
-            RouteKind::Elastic(r) => r.to_experts(rows, ep, clock),
-        }
-    }
-
-    fn to_source(
-        &self,
-        rows: &Tensor,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, CommError> {
-        match self {
-            RouteKind::Ep(r) => r.to_source(rows, ep, clock),
-            RouteKind::Elastic(r) => r.to_source(rows, ep, clock),
-        }
-    }
-
-    /// Carry PFT-ordered `rows` to the experts, run `compute` on each
-    /// received expert-major block — called with the block's local-expert
-    /// range `[e0, e1)`, it must return one output row per input row — and
-    /// carry the outputs back to PFT order on the sources.
-    ///
-    /// With `chunks > 1` on an [`EpRoute`] the exchange is split into
-    /// expert-major chunks pipelined against `compute` through
-    /// [`EpRoute::exchange_overlap`]; otherwise it is one serial
-    /// all-to-all each way with a single `compute` over every local
-    /// expert. Both give bitwise-identical results; the simulated clock
-    /// prices the schedule actually run.
-    fn exchange<F>(
-        &self,
-        rows: &Tensor,
-        chunks: usize,
-        stages: (&str, &str, &str),
-        ep: &Communicator,
-        clock: &mut SimClock,
-        mut compute: F,
-    ) -> Result<Tensor, CommError>
-    where
-        F: FnMut((usize, usize), &Tensor) -> Tensor,
-    {
-        match self {
-            RouteKind::Ep(r) if chunks > 1 => {
-                r.exchange_overlap(rows, chunks, stages, ep, clock, |_, plan, chunk, _| {
-                    compute(plan.experts, chunk)
-                })
-            }
-            _ => {
-                let (out_stage, _, back_stage) = stages;
-                let input = self.to_experts(rows, ep, clock)?;
-                clock.commit(out_stage);
-                let output = compute((0, self.tokens_per_local_expert().len()), &input);
-                let back = self.to_source(&output, ep, clock)?;
-                clock.commit(back_stage);
-                Ok(back)
-            }
-        }
-    }
-}
 
 /// Saved forward state of one distributed MoE layer.
 pub struct DistMoeCtx {
     x: Tensor,
     scores: Tensor,
-    route: RouteKind,
+    route: EpRoute,
     /// Expert-major saves on the *expert* side.
     expert_input: Tensor,
     h_pre: Tensor,
@@ -177,7 +85,7 @@ pub struct DistMoeCtx {
 impl DistMoeCtx {
     /// PFT of this layer's forward (global expert ids, source order).
     pub fn pft(&self) -> &Pft {
-        self.route.pft()
+        &self.route.pft
     }
 }
 
@@ -240,10 +148,6 @@ impl DistMoe {
         }
     }
 
-    fn spec(&self) -> MoeLayerSpec {
-        MoeLayerSpec::new(self.num_experts, self.capacity).with_policy(self.policy)
-    }
-
     /// Distributed forward: `out = x + combine(experts(dispatch(x)))` with
     /// one serial all-to-all each way — [`Self::forward_overlap`] with one
     /// chunk.
@@ -256,16 +160,14 @@ impl DistMoe {
         self.forward_overlap(x, 1, ep, clock)
     }
 
-    /// The distributed forward. With `chunks > 1` on the uniform
-    /// contiguous expert layout, the dispatch and combine all-to-alls are
-    /// split into `chunks` expert-major chunks pipelined against the
-    /// expert FFNs via [`EpRoute::exchange_overlap`]; every other case —
-    /// one chunk, or an elastic (migrated, ragged, replicated) layout —
-    /// takes the serial [`ElasticRoute`] exchange. Numerics are bitwise
-    /// identical either way. The train path charges no simulated compute
-    /// for expert GEMMs, so the schedule — not the clock — is what
-    /// overlap changes here; the priced overlap win is measured in
-    /// `xmoe-core`/`bench overlap`.
+    /// The distributed forward. With `chunks > 1` the dispatch and
+    /// combine all-to-alls are split into expert-major chunks pipelined
+    /// against the expert FFNs through [`EpRoute::exchange`], on any expert
+    /// layout (contiguous, ragged, migrated, replicated); one chunk is the
+    /// serial exchange. Numerics are bitwise identical either way. The
+    /// train path charges no simulated compute for expert GEMMs, so the
+    /// schedule — not the clock — is what overlap changes here; the priced
+    /// overlap win is measured in `xmoe-core`/`bench overlap`.
     pub fn forward_overlap(
         &self,
         x: &Tensor,
@@ -285,15 +187,11 @@ impl DistMoe {
         );
         let pft = Pft::construct(&gating, self.num_experts, self.capacity, self.policy);
         let dispatch_in = gather_rows(x, &pft.token_ids);
-        let route = if chunks > 1 && self.assignment.is_uniform_contiguous() {
-            RouteKind::Ep(EpRoute::build(pft, &self.spec(), ep, clock)?)
-        } else {
-            RouteKind::Elastic(ElasticRoute::build(pft, &self.assignment, ep, clock)?)
-        };
+        let route = EpRoute::build(pft, &self.assignment, ep, clock)?;
         clock.commit("dispatch_a2a_meta");
 
         let (h, f) = (self.hidden, self.ffn);
-        let counts = route.tokens_per_local_expert();
+        let counts = &route.tokens_per_local_expert;
         let mut seg_offsets = Vec::with_capacity(counts.len() + 1);
         seg_offsets.push(0usize);
         for &cnt in counts {
@@ -309,7 +207,7 @@ impl DistMoe {
             FORWARD_STAGES,
             ep,
             clock,
-            |(e0, e1), input| {
+            |(e0, e1), input, _| {
                 // The block covers the expert-major rows [r0, r1) of the
                 // full buffers, so saving in place reproduces the serial
                 // `expert_input`/`h_pre`/`h_act` exactly.
@@ -331,8 +229,8 @@ impl DistMoe {
         let mut out = x.clone();
         scatter_rows_scaled(
             &combine_in,
-            &route.pft().token_ids,
-            &route.pft().combine_weights,
+            &route.pft.token_ids,
+            &route.pft.combine_weights,
             &mut out,
         );
         Ok((
@@ -367,9 +265,8 @@ impl DistMoe {
     /// backward chain has the same shape as the forward one — a
     /// dispatch-direction all-to-all (`d_combine` to the expert side), the
     /// expert FFN backward, and a combine-direction all-to-all
-    /// (`d_expert_in` back to sources) — so with `chunks > 1` on a
-    /// chunked-overlap context it pipelines through the same
-    /// [`EpRoute::exchange_overlap`]; otherwise it runs serially.
+    /// (`d_expert_in` back to sources) — so it runs through the same
+    /// [`EpRoute::exchange`], chunked when `chunks > 1`, serially otherwise.
     /// Gradients are bitwise identical either way.
     pub fn backward_overlap(
         &mut self,
@@ -380,12 +277,12 @@ impl DistMoe {
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
         let mut ws = Workspace::new();
-        let pft = ctx.route.pft();
+        let pft = &ctx.route.pft;
         let mut d_x = d_out.clone(); // residual
         let (d_combine, d_w) = combine_backward(d_out, pft, &ctx.combine_in, &mut ws);
 
         let (h, f) = (self.hidden, self.ffn);
-        let (offs, counts) = (&ctx.seg_offsets, ctx.route.tokens_per_local_expert());
+        let (offs, counts) = (&ctx.seg_offsets, &ctx.route.tokens_per_local_expert);
         let (shard, g_shard) = (&self.shard, &mut self.g_shard);
         let d_dispatch = ctx.route.exchange(
             &d_combine,
@@ -393,7 +290,7 @@ impl DistMoe {
             BACKWARD_STAGES,
             ep,
             clock,
-            |(e0, e1), d_y| {
+            |(e0, e1), d_y, _| {
                 let (r0, r1) = (offs[e0], offs[e1]);
                 let mut d_in = Tensor::zeros(r1 - r0, h);
                 ffn_backward(

@@ -132,11 +132,11 @@ use xmoe::core::memory::{
 use xmoe::core::perf::PerfModel;
 use xmoe::core::pft::Pft;
 use xmoe::core::pipeline::{
-    self, bubble_fraction, rank_work, reference_forward, run_1f1b, DenseDropOrder, MoeLayerSpec,
-    PooledSingleState, StageChunk,
+    self, bubble_fraction, rank_work, reference_forward, run_1f1b, DenseDropOrder, ExecCtx,
+    MoeLayerSpec, Pipeline, PooledSingleState, RbdPipeline, StageChunk,
 };
 use xmoe::core::plan::{plan_mappings, price_mapping, MappingPlan};
-use xmoe::core::rbd::{self, expected_redundancy_uniform, RbdComms};
+use xmoe::core::rbd::{self, expected_redundancy_uniform, PilotPolicy, RbdComms};
 use xmoe::tensor::{CountingAlloc, DetRng, Tensor, Workspace};
 use xmoe::topology::{
     AttnFold, ClusterTopology, CongestionModel, CostModel, FaultPlan, MachineSpec, MoeFold,
@@ -595,25 +595,15 @@ fn cmd_step(args: &[String]) {
                     );
                 }
                 "pft" | "padding_free" => {
-                    let _ = match overlap {
-                        Some(chunks) => pipeline::padding_free::forward_ep_overlap(
-                            &tokens,
-                            router,
-                            &shard,
-                            spec,
-                            chunks,
-                            &ctx.world,
-                            &mut ctx.clock,
-                        ),
-                        None => pipeline::padding_free::forward_ep(
-                            &tokens,
-                            router,
-                            &shard,
-                            spec,
-                            &ctx.world,
-                            &mut ctx.clock,
-                        ),
-                    };
+                    let _ = pipeline::padding_free::forward_ep_overlap(
+                        &tokens,
+                        router,
+                        &shard,
+                        spec,
+                        overlap.unwrap_or(1),
+                        &ctx.world,
+                        &mut ctx.clock,
+                    );
                 }
                 "blocksparse" | "block_sparse" => {
                     let _ = pipeline::block_sparse::forward_ep_block_sparse(
@@ -630,15 +620,17 @@ fn cmd_step(args: &[String]) {
                     let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
                     let mut rng = DetRng::new(0x57EC + ctx.rank as u64);
                     let _ = match overlap {
-                        Some(chunks) => rbd::forward_ep_rbd_overlap(
+                        Some(chunks) => RbdPipeline {
+                            policy: PilotPolicy::Random,
+                        }
+                        .forward(
                             &tokens,
                             router,
                             &shard,
                             spec,
-                            &comms,
-                            &mut rng,
-                            &mut ctx.clock,
-                            chunks,
+                            &mut ExecCtx::hier(&comms, &mut ctx.clock)
+                                .with_rng(&mut rng)
+                                .with_overlap(chunks),
                         ),
                         None => rbd::forward_ep_rbd(
                             &tokens,

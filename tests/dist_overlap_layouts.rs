@@ -1,8 +1,8 @@
-//! `DistMoe`'s chunked entry points on every expert layout: on a migrated
-//! or replicated assignment the chunked-overlap exchange does not apply,
-//! so `forward_overlap`/`backward_overlap` must fall back to the serial
-//! route and stay bitwise identical to `forward`/`backward` — for any
-//! chunk count, and whichever forward produced the saved context.
+//! `DistMoe`'s chunked entry points on every expert layout: on a migrated,
+//! replicated or uniform assignment, `forward_overlap`/`backward_overlap`
+//! pipeline the exchange over the same route the serial path uses, and
+//! must stay bitwise identical to `forward`/`backward` — for any chunk
+//! count, and whichever forward produced the saved context.
 
 use xmoe::collectives::SimCluster;
 use xmoe::core::gating::DropPolicy;
